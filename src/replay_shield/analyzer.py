@@ -116,8 +116,8 @@ def _normalize(entries: Sequence) -> list[tuple[float, str, int]]:
     return triples
 
 
-def build_report(entries: Sequence, min_repeats: int = 3) -> TrafficReport:
-    """Compute every report field from a request log.
+def build_report(entries: Sequence, min_repeats: int = 3, rules: FuzzyRuleSet = EMPTY_RULES) -> TrafficReport:
+    """Compute every report field from a request log; `rules` key the recurring clusters.
 
     The burst prefix is the run of leading seconds whose per-second count stays
     above BURST_RATE_FACTOR times the whole-run mean rate; reported as
@@ -162,7 +162,7 @@ def build_report(entries: Sequence, min_repeats: int = 3) -> TrafficReport:
         cumulative=tuple(cumulative),
         avg_per_minute=total * 60.0 / duration,
         burst_prefix=(burst_requests, float(burst_seconds)),
-        recurring=tuple(detect_recurring(entries, min_repeats, EMPTY_RULES)),
+        recurring=tuple(detect_recurring(entries, min_repeats, rules)),
     )
 
 

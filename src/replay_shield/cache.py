@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .httpmsg import Response
-from .urls import FuzzyRuleSet, canonical_key_of, fuzzy_key_of
+from .urls import EMPTY_RULES, FuzzyRuleSet, fuzzy_key_of
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def make_cache_key(method: str, url: str, policy: CachePolicy) -> CacheKey:
     if policy.key_mode == KeyMode.EXACT:
         return CacheKey(method, url)
     if policy.key_mode == KeyMode.CANONICAL:
-        return CacheKey(method, canonical_key_of(url))
+        return CacheKey(method, fuzzy_key_of(url, EMPTY_RULES))
     return CacheKey(method, fuzzy_key_of(url, policy.fuzzy_rules))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,7 +24,6 @@ from .analyzer import (
     TrafficReport,
     build_report,
     compare_reports,
-    detect_recurring,
     emit_series_csv,
     parse_har,
     render_comparison,
@@ -78,7 +78,6 @@ class ExperimentSpec:
     injection_mode: InjectionMode = InjectionMode.ALWAYS
     duration: float | None = None
     transport: str = "in_process"
-    output_dir: Path = Path(".")
     key_mode: KeyMode = KeyMode.EXACT
     patch_mode: str = "off"
     limiter: LimiterRule = LimiterRule()
@@ -127,38 +126,38 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     clock = LogicalClock()
 
     if spec.transport == "live":
-        events, metrics = _run_live(page, sim, proxy_cfg, clock, spec.limiter)
+        # the same pipeline over loopback sockets, paced against the wall clock
+        with serve_handler(sim.serve) as upstream_handle:
+            proxy = ReverseProxy(proxy_cfg, lambda req: http_fetch(upstream_handle.address, req))
+            with serve_handler(proxy.handle_request) as proxy_handle:
+                events = run_page(page, _paced(clock, proxy_handle.address), clock, spec.limiter)
     else:
         proxy = ReverseProxy(proxy_cfg, lambda req: sim.serve(req, clock.now()))
         events = run_page(page, lambda req: proxy.handle_request(req, clock.now()), clock, spec.limiter)
-        metrics = proxy.metrics_snapshot()
 
     network = tuple(e for e in events if e.source is EventSource.NETWORK)
     return ExperimentResult(
         client_report=build_report(list(network), min_repeats=spec.min_repeats),
         events=tuple(events),
         network_events=network,
-        proxy_metrics=metrics,
+        proxy_metrics=proxy.metrics_snapshot(),
         upstream_request_count=sim.request_count,
         upstream_status_counts=sim.status_counts(),
     )
 
 
-def _run_live(page, sim, proxy_cfg, clock, limiter):
-    """Same pipeline over loopback sockets, paced against the wall clock."""
-    with serve_handler(sim.serve) as upstream_handle:
-        proxy = ReverseProxy(proxy_cfg, lambda req: http_fetch(upstream_handle.address, req))
-        with serve_handler(proxy.handle_request) as proxy_handle:
-            start = time.monotonic()
+def _paced(clock: LogicalClock, address: str):
+    """Transport that sends each request to `address` once the wall clock,
+    counted from now, has caught up with the logical clock."""
+    start = time.monotonic()
 
-            def transport(request: Request):
-                wait = clock.now() - (time.monotonic() - start)
-                if wait > 0:
-                    time.sleep(wait)
-                return http_fetch(proxy_handle.address, request)
+    def transport(request: Request):
+        wait = clock.now() - (time.monotonic() - start)
+        if wait > 0:
+            time.sleep(wait)
+        return http_fetch(address, request)
 
-            events = run_page(page, transport, clock, limiter)
-            return events, proxy.metrics_snapshot()
+    return transport
 
 
 def write_experiment_files(result: ExperimentResult, out_dir: Path, label: str) -> list[Path]:
@@ -175,30 +174,36 @@ def write_experiment_files(result: ExperimentResult, out_dir: Path, label: str) 
 # ---------------------------------------------------------------------------
 
 
-def cmd_reproduce(args) -> int:
-    out_dir = Path(args.output)
-    base = ExperimentSpec(
+def _spec_from_args(args) -> ExperimentSpec:
+    """The experiment the workload flags describe, shared by reproduce and run-workload."""
+    cache_on = args.cache == "on"
+    return ExperimentSpec(
         scenario=args.scenario,
+        cache_enabled=cache_on,
+        injection_mode=InjectionMode(args.injection) if cache_on else InjectionMode.OFF,
         duration=args.duration,
         transport=args.transport,
-        output_dir=out_dir,
         key_mode=KeyMode(args.key_mode),
         patch_mode=args.patch,
-        limiter=LimiterRule(enabled=args.limiter, min_repeats=args.min_repeats)
-        if args.limiter
-        else LimiterRule(),
+        # without --limiter, --min-repeats sets only the report's cluster threshold
+        limiter=LimiterRule(enabled=args.limiter, min_repeats=args.min_repeats if args.limiter else LimiterRule.min_repeats),
         manifest_path=Path(args.manifest) if args.manifest else None,
         min_repeats=args.min_repeats,
     )
+
+
+def cmd_reproduce(args) -> int:
+    out_dir = Path(args.output)
+    spec = _spec_from_args(args)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_chunks: list[str] = []
     if args.both:
         before = run_experiment(
-            replace(base, cache_enabled=False, injection_mode=InjectionMode.OFF)
+            replace(spec, cache_enabled=False, injection_mode=InjectionMode.OFF)
         )
         after = run_experiment(
-            replace(base, cache_enabled=True, injection_mode=InjectionMode(args.injection))
+            replace(spec, cache_enabled=True, injection_mode=InjectionMode(args.injection))
         )
         write_experiment_files(before, out_dir, "before")
         write_experiment_files(after, out_dir, "after")
@@ -210,13 +215,8 @@ def cmd_reproduce(args) -> int:
         metrics_chunks.append("[before]\n" + render_metrics(before.proxy_metrics))
         metrics_chunks.append("[after]\n" + render_metrics(after.proxy_metrics))
     else:
-        cache_on = args.cache == "on"
-        injection = InjectionMode(args.injection) if cache_on else InjectionMode.OFF
-        result = run_experiment(
-            replace(base, cache_enabled=cache_on, injection_mode=injection)
-        )
-        label = "after" if cache_on else "before"
-        write_experiment_files(result, out_dir, label)
+        result = run_experiment(spec)
+        write_experiment_files(result, out_dir, "after" if spec.cache_enabled else "before")
         summary = render_report_text(result.client_report)
         summary += f"upstream_requests: {result.upstream_request_count}\n"
         metrics_chunks.append(render_metrics(result.proxy_metrics))
@@ -230,40 +230,19 @@ def cmd_reproduce(args) -> int:
 def cmd_run_workload(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
+    spec = _spec_from_args(args)
     if args.base:
-        page, _ = load_scenario(ExperimentSpec(scenario=args.scenario, duration=args.duration))
-        limiter = LimiterRule(enabled=args.limiter, min_repeats=args.min_repeats) if args.limiter else LimiterRule()
+        # a live proxy elsewhere plays the cache and the archive
+        page, _ = load_scenario(spec)
         clock = LogicalClock()
-        start = time.monotonic()
-
-        def transport(request: Request):
-            wait = clock.now() - (time.monotonic() - start)
-            if wait > 0:
-                time.sleep(wait)
-            return http_fetch(args.base, request)
-
-        events = run_page(page, transport, clock, limiter)
-        report = build_report([e for e in events if e.source is EventSource.NETWORK], args.min_repeats)
-        write_events_csv(events, out_dir / "events.csv")
-        emit_series_csv(report, out_dir / "series.csv")
-        print(render_report_text(report), end="")
-        return EXIT_OK
-
-    spec = ExperimentSpec(
-        scenario=args.scenario,
-        cache_enabled=args.cache == "on",
-        injection_mode=InjectionMode(args.injection) if args.cache == "on" else InjectionMode.OFF,
-        duration=args.duration,
-        output_dir=out_dir,
-        patch_mode=args.patch,
-        limiter=LimiterRule(enabled=args.limiter, min_repeats=args.min_repeats) if args.limiter else LimiterRule(),
-        manifest_path=Path(args.manifest) if args.manifest else None,
-        min_repeats=args.min_repeats,
-    )
-    result = run_experiment(spec)
-    write_events_csv(result.events, out_dir / "events.csv")
-    emit_series_csv(result.client_report, out_dir / "series.csv")
-    print(render_report_text(result.client_report), end="")
+        events = run_page(page, _paced(clock, args.base), clock, spec.limiter)
+        report = build_report([e for e in events if e.source is EventSource.NETWORK], spec.min_repeats)
+    else:
+        result = run_experiment(spec)
+        events, report = result.events, result.client_report
+    write_events_csv(events, out_dir / "events.csv")
+    emit_series_csv(report, out_dir / "series.csv")
+    print(render_report_text(report), end="")
     return EXIT_OK
 
 
@@ -277,9 +256,7 @@ def cmd_analyze(args) -> int:
         entries: list = read_events_csv(path)
     else:
         entries = parse_har(path)
-    report = build_report(entries, min_repeats=args.min_repeats)
-    clusters = detect_recurring(entries, args.min_repeats, rules)
-    report = replace(report, recurring=tuple(clusters))
+    report = build_report(entries, min_repeats=args.min_repeats, rules=rules)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,9 +265,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+_echo_lock = threading.Lock()
+
+
 def _echo_line(line: str) -> None:
-    # request logs must not lag behind the traffic they describe
-    print(line, flush=True)
+    # One write per record, so records from concurrent handler threads cannot
+    # run together; flushed so the log does not lag behind the traffic.
+    with _echo_lock:
+        sys.stdout.write(line + "\n")
+        sys.stdout.flush()
 
 
 def cmd_serve(args) -> int:
@@ -336,7 +319,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", choices=("on", "off"), default="on")
         p.add_argument("--injection", choices=[m.value for m in InjectionMode], default="always")
         p.add_argument("--key-mode", choices=[m.value for m in KeyMode], default="exact")
-        p.add_argument("--patch", choices=("off", "ia", "arquivo"), default="off")
+        p.add_argument("--patch", choices=("off", "ia"), default="off")
         p.add_argument("--limiter", action="store_true", help="enable the client-side repeat limiter")
         p.add_argument("--min-repeats", type=int, default=3)
         p.add_argument("--manifest", help="upstream holdings manifest (required for spec files)")
@@ -364,7 +347,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--listen", default="127.0.0.1:0")
     p_srv.add_argument("--upstream", help="proxy role: upstream host:port")
     p_srv.add_argument("--manifest", help="upstream role: holdings manifest path")
-    p_srv.add_argument("--patch", choices=("off", "ia", "arquivo"), default="off")
+    p_srv.add_argument("--patch", choices=("off", "ia"), default="off")
     p_srv.set_defaults(fn=cmd_serve)
     return parser
 

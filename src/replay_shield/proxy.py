@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 from urllib.parse import urlsplit
@@ -108,26 +108,25 @@ class ProxyMetrics:
 
 
 class _MetricsCounter:
+    """Counts each finished request once, so every snapshot conserves
+    client_requests == cache_hits_fresh + upstream_requests + throttled_429."""
+
     def __init__(self):
         self._lock = threading.Lock()
-        self._m = ProxyMetrics()
+        self._client = self._hit = self._upstream = self._throttled = 0
+        self._by_status: dict[int, int] = {}
 
-    def count(self, *, client: int = 0, hit: int = 0, upstream: int = 0, throttled: int = 0, status: int | None = None):
+    def count(self, status: int, *, hit: int = 0, upstream: int = 0, throttled: int = 0) -> None:
         with self._lock:
-            by_status = dict(self._m.responses_by_status)
-            if status is not None:
-                by_status[status] = by_status.get(status, 0) + 1
-            self._m = ProxyMetrics(
-                client_requests=self._m.client_requests + client,
-                cache_hits_fresh=self._m.cache_hits_fresh + hit,
-                upstream_requests=self._m.upstream_requests + upstream,
-                throttled_429=self._m.throttled_429 + throttled,
-                responses_by_status=by_status,
-            )
+            self._client += 1
+            self._hit += hit
+            self._upstream += upstream
+            self._throttled += throttled
+            self._by_status[status] = self._by_status.get(status, 0) + 1
 
     def snapshot(self) -> ProxyMetrics:
         with self._lock:
-            return replace(self._m, responses_by_status=dict(self._m.responses_by_status))
+            return ProxyMetrics(self._client, self._hit, self._upstream, self._throttled, dict(self._by_status))
 
 
 def render_metrics(m: ProxyMetrics) -> str:
@@ -196,11 +195,10 @@ class ReverseProxy:
         if request.method not in ("GET", "HEAD") or not parts.scheme or not parts.netloc:
             # malformed requests never enter the counted pipeline
             return text_response(400, "bad request").with_header("X-Cache", "MISS")
-        self._metrics.count(client=1)
 
         decision = self.throttle.check(parts.path, request.url, now)
         if not decision.allowed:
-            self._metrics.count(throttled=1, status=429)
+            self._metrics.count(429, throttled=1)
             return Response(
                 429,
                 (("Retry-After", str(max(1, math.ceil(decision.retry_after)))), ("X-Cache", "MISS")),
@@ -211,7 +209,7 @@ class ReverseProxy:
         if caching:
             found = self.cache.lookup(key, now)
             if found.state is LookupState.FRESH:
-                self._metrics.count(hit=1, status=found.entry.status)
+                self._metrics.count(found.entry.status, hit=1)
                 return found.entry.to_response().with_header("X-Cache", "HIT")
 
         if self.config.coalesce_requests and caching:
@@ -219,7 +217,7 @@ class ReverseProxy:
             with lock:
                 found = self.cache.lookup(key, now)
                 if found.state is LookupState.FRESH:
-                    self._metrics.count(hit=1, status=found.entry.status)
+                    self._metrics.count(found.entry.status, hit=1)
                     return found.entry.to_response().with_header("X-Cache", "HIT")
                 return self._fetch_and_store(request, key, caching, now)
         return self._fetch_and_store(request, key, caching, now)
@@ -228,14 +226,13 @@ class ReverseProxy:
         try:
             response = self.upstream(request)
         except UpstreamUnreachable:
-            self._metrics.count(upstream=1, status=502)
+            self._metrics.count(502, upstream=1)
             return text_response(502, "upstream unreachable").with_header("X-Cache", "MISS")
-        self._metrics.count(upstream=1)
         response = inject_cache_control(response, self.config.injection)
         if caching:
             directives = parse_cache_control(response.header("Cache-Control"))
             self.cache.store(key, response, directives, now)
-        self._metrics.count(status=response.status)
+        self._metrics.count(response.status, upstream=1)
         return response.with_header("X-Cache", "MISS")
 
     def _key_lock(self, key) -> threading.Lock:

@@ -3,7 +3,7 @@
 A replay URL embeds the original resource URL behind an archive prefix and a
 14-digit capture timestamp, e.g.
 
-    https://arquivo.pt/wayback/20090628044051im_/http://example.org/img.png
+    https://web.archive.org/web/20090628044051im_/http://example.org/img.png
 
 Percent-encoding in paths and queries is preserved byte-for-byte so that
 formatting a parsed URL reproduces the input exactly.
@@ -235,18 +235,13 @@ def canonicalize(u: UriR) -> str:
 def fuzzy_reduce(u: UriR, rules: FuzzyRuleSet = EMPTY_RULES) -> str:
     """Canonical key after deleting volatile query parameters per `rules`."""
     kept = tuple(p for p in u.query if not rules.strips(p[0], p[1]))
-    return canonicalize(replace(u, query=kept))
-
-
-def canonical_key_of(url: str) -> str:
-    """Canonical key for a raw URL string; falls back to the string itself when unparsable."""
-    try:
-        return canonicalize(parse_urir(url))
-    except UrlError:
-        return url
+    # copying the frozen UriR is a large share of a key's cost; skip it when nothing was stripped
+    return canonicalize(u if len(kept) == len(u.query) else replace(u, query=kept))
 
 
 def fuzzy_key_of(url: str, rules: FuzzyRuleSet = EMPTY_RULES) -> str:
+    """Fuzzy key for a raw URL string (the canonical key under EMPTY_RULES);
+    falls back to the string itself when unparsable."""
     try:
         return fuzzy_reduce(parse_urir(url), rules)
     except UrlError:

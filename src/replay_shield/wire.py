@@ -21,6 +21,10 @@ from .proxy import UpstreamUnreachable
 Handler = Callable[[Request, float], Response]
 LogSink = Callable[[str], None]
 
+# How often serve_forever checks for shutdown; close() waits up to this long,
+# so serve_forever's own default of 0.5 s would add half a second per listener.
+_SHUTDOWN_POLL_SECONDS = 0.05
+
 
 def split_hostport(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")
@@ -91,6 +95,10 @@ class _WireHandler(BaseHTTPRequestHandler):
             response = self.server.app(request, now)
         except Exception:  # a handler bug must not kill the connection thread
             response = Response(500, (("Content-Type", "text/plain"),), b"internal error")
+        # logged before the response goes out, so a client that has its
+        # response also finds the request in the log
+        marker = response.header("X-Cache") or "-"
+        self.server.record(f"{now:.3f} {method} {url} {response.status} {marker}")
         self.send_response(response.status)
         have_length = False
         for name, value in response.headers:
@@ -102,8 +110,6 @@ class _WireHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if method != "HEAD" and response.body:
             self.wfile.write(response.body)
-        marker = response.header("X-Cache") or "-"
-        self.server.record(f"{now:.3f} {method} {url} {response.status} {marker}")
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -141,6 +147,7 @@ def serve_handler(app: Handler, listen: str = "127.0.0.1:0", echo: LogSink | Non
     """Start `app` behind a threaded HTTP listener; port 0 picks a free port."""
     host, port = split_hostport(listen)
     server = _WireServer((host, port), _WireHandler, app, echo)
-    thread = threading.Thread(target=server.serve_forever, name=f"wire-{server.server_address[1]}", daemon=True)
+    name = f"wire-{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, args=(_SHUTDOWN_POLL_SECONDS,), name=name, daemon=True)
     thread.start()
     return ServerHandle(server, thread)

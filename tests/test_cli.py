@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import subprocess
 import sys
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 
+from replay_shield import cli
 from replay_shield.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -16,7 +22,9 @@ from replay_shield.cli import (
     run_experiment,
 )
 from replay_shield.cache import KeyMode
-from replay_shield.proxy import InjectionMode
+from replay_shield.proxy import InjectionMode, ProxyConfig, ReverseProxy
+from replay_shield.upstream import UpstreamSimulator, parse_manifest_text
+from replay_shield.wire import http_fetch, serve_handler
 from replay_shield.workload import builtin_scenario, spec_to_text
 
 
@@ -275,3 +283,94 @@ class TestCliEntryPoint:
 
         code = main(["--output", str(blocker), "reproduce", "--scenario", "mre", "--duration", "5"])
         assert code == EXIT_RUNTIME
+
+
+class TestLiveTransport:
+    """The socket paths run on the same logical clock as the in-process one."""
+
+    def test_live_run_matches_in_process(self):
+        spec = ExperimentSpec(scenario="mre", duration=2.0)
+        in_process = run_experiment(spec)
+        live = run_experiment(replace(spec, transport="live"))
+        assert live.events == in_process.events
+        assert live.upstream_request_count == in_process.upstream_request_count
+
+    def test_run_workload_base_matches_in_process(self, tmp_path):
+        argv = ["run-workload", "--scenario", "mre", "--duration", "2"]
+        assert main(["--output", str(tmp_path / "local"), *argv]) == EXIT_OK
+        sim = UpstreamSimulator(parse_manifest_text(builtin_scenario("mre")[1]))
+        with serve_handler(sim.serve) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                code = main(["--output", str(tmp_path / "base"), *argv, "--base", front.address])
+        assert code == EXIT_OK
+        local = (tmp_path / "local" / "events.csv").read_text().splitlines()
+        assert (tmp_path / "base" / "events.csv").read_text().splitlines() == local
+
+
+class TestWorkloadFlags:
+    def test_run_workload_passes_key_mode_and_transport(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.run_experiment
+
+        def capture(spec):
+            seen.append(spec)
+            return real(replace(spec, transport="in_process"))
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        argv = ["--output", str(tmp_path), "run-workload", "--scenario", "feed_poll", "--duration", "10",
+                "--key-mode", "fuzzy", "--transport", "live"]
+        assert main(argv) == EXIT_OK
+        (spec,) = seen
+        assert (spec.key_mode, spec.transport) == (KeyMode.FUZZY, "live")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce", "--scenario", "mre", "--patch", "arquivo"],
+            ["run-workload", "--scenario", "mre", "--patch", "arquivo"],
+            ["serve", "upstream", "--patch", "arquivo"],
+        ],
+    )
+    def test_patch_arquivo_is_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(tmp_path), *argv])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_min_repeats_one_without_limiter_is_accepted(self, tmp_path):
+        argv = ["--output", str(tmp_path), "reproduce", "--scenario", "mre", "--duration", "5", "--min-repeats", "1"]
+        assert main(argv) == EXIT_OK
+        assert main(argv + ["--limiter"]) == EXIT_CONFIG
+
+
+class _YieldingStdout(io.StringIO):
+    """Captured stdout that lets other threads run after every write, as a
+    write to a pipe may."""
+
+    def write(self, text):
+        written = super().write(text)
+        time.sleep(0.0005)
+        return written
+
+
+def test_serve_log_records_stay_whole_across_threads(monkeypatch):
+    out = _YieldingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    threads_n, lines_each = 8, 20
+    barrier = threading.Barrier(threads_n)
+
+    def log(i):
+        barrier.wait()
+        for j in range(lines_each):
+            cli._echo_line(f"{j}.250 GET http://a.test/wayback/20090628044051/http://x.pt/{i}-{j}.png 404 MISS")
+
+    threads = [threading.Thread(target=log, args=(i,)) for i in range(threads_n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == threads_n * lines_each
+    record = re.compile(r"\d+\.\d{3} (GET|HEAD) \S+ \d{3} (HIT|MISS|-)")
+    assert [line for line in lines if not record.fullmatch(line)] == []
