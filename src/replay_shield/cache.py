@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .httpmsg import Response
@@ -61,6 +61,10 @@ class KeyMode(str, Enum):
     FUZZY = "fuzzy"
 
 
+# fuzzy keys drop cache-buster parameters: long all-digit values
+FUZZY_RULES = FuzzyRuleSet(strip_numeric_only_params=True)
+
+
 @dataclass(frozen=True)
 class CachePolicy:
     """What may be cached and for how long."""
@@ -69,8 +73,6 @@ class CachePolicy:
     default_max_age: int = 600
     key_mode: KeyMode = KeyMode.EXACT
     capacity: int = 10_000
-    respect_upstream_directives: bool = True
-    fuzzy_rules: FuzzyRuleSet = field(default_factory=lambda: FuzzyRuleSet(strip_numeric_only_params=True))
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -90,7 +92,7 @@ def make_cache_key(method: str, url: str, policy: CachePolicy) -> CacheKey:
         return CacheKey(method, url)
     if policy.key_mode == KeyMode.CANONICAL:
         return CacheKey(method, fuzzy_key_of(url, EMPTY_RULES))
-    return CacheKey(method, fuzzy_key_of(url, policy.fuzzy_rules))
+    return CacheKey(method, fuzzy_key_of(url, FUZZY_RULES))
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,8 @@ class CachedResponse:
     stored_at: float
     freshness_lifetime: float
 
-    def age(self, now: float) -> float:
-        return now - self.stored_at
-
     def is_fresh(self, now: float) -> bool:
-        return self.age(now) < self.freshness_lifetime
+        return now - self.stored_at < self.freshness_lifetime
 
     def to_response(self) -> Response:
         return Response(self.status, self.headers, self.body)
@@ -169,16 +168,13 @@ class ResponseCache:
             return StoreOutcome.REJECTED_METHOD
         if response.status not in self.policy.cacheable_statuses:
             return StoreOutcome.REJECTED_STATUS
-        if self.policy.respect_upstream_directives and directives.max_age is not None:
-            lifetime = float(directives.max_age)
-        else:
-            lifetime = float(self.policy.default_max_age)
+        max_age = self.policy.default_max_age if directives.max_age is None else directives.max_age
         entry = CachedResponse(
             status=response.status,
             headers=response.headers,
             body=response.body,
             stored_at=now,
-            freshness_lifetime=lifetime,
+            freshness_lifetime=float(max_age),
         )
         k = (key.method, key.key)
         with self._lock:
@@ -187,7 +183,3 @@ class ResponseCache:
             while len(self._entries) > self.policy.capacity:
                 self._entries.popitem(last=False)
         return StoreOutcome.STORED
-
-    def purge(self, key: CacheKey) -> bool:
-        with self._lock:
-            return self._entries.pop((key.method, key.key), None) is not None

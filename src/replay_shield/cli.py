@@ -119,7 +119,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     sim = UpstreamSimulator(store, patch=PatchConfig(enabled=spec.patch_mode == "ia"))
     proxy_cfg = ProxyConfig(
-        policy=CachePolicy(key_mode=spec.key_mode, fuzzy_rules=FuzzyRuleSet(strip_numeric_only_params=True)),
+        policy=CachePolicy(key_mode=spec.key_mode),
         injection=InjectionConfig(mode=spec.injection_mode),
         proxy_caching_enabled=spec.cache_enabled,
     )
@@ -230,6 +230,8 @@ def cmd_reproduce(args) -> int:
 def cmd_run_workload(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if args.base and args.stack_flags:
+        raise ConfigError(f"{args.stack_flags[0]} cannot be used with --base: the proxy at {args.base} has its own settings")
     spec = _spec_from_args(args)
     if args.base:
         # a live proxy elsewhere plays the cache and the archive
@@ -303,6 +305,16 @@ def cmd_serve(args) -> int:
         handle.close()
 
 
+class _StackFlag(argparse.Action):
+    """Stores a flag that configures the proxy and archive the workload runs
+    against, and records that it was given, so `run-workload --base` can
+    reject it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.stack_flags += (self.option_strings[0],)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="replay-shield",
@@ -316,14 +328,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add_workload_flags(p):
         p.add_argument("--scenario", required=True, help="builtin scenario name or spec file path")
         p.add_argument("--duration", type=float, default=None, help="override run duration (seconds)")
-        p.add_argument("--cache", choices=("on", "off"), default="on")
-        p.add_argument("--injection", choices=[m.value for m in InjectionMode], default="always")
-        p.add_argument("--key-mode", choices=[m.value for m in KeyMode], default="exact")
-        p.add_argument("--patch", choices=("off", "ia"), default="off")
+        p.add_argument("--cache", choices=("on", "off"), default="on", action=_StackFlag)
+        p.add_argument("--injection", choices=[m.value for m in InjectionMode], default="always", action=_StackFlag)
+        p.add_argument("--key-mode", choices=[m.value for m in KeyMode], default="exact", action=_StackFlag)
+        p.add_argument("--patch", choices=("off", "ia"), default="off", action=_StackFlag)
         p.add_argument("--limiter", action="store_true", help="enable the client-side repeat limiter")
         p.add_argument("--min-repeats", type=int, default=3)
-        p.add_argument("--manifest", help="upstream holdings manifest (required for spec files)")
-        p.add_argument("--transport", choices=("in_process", "live"), default="in_process")
+        p.add_argument("--manifest", help="upstream holdings manifest (required for spec files)", action=_StackFlag)
+        p.add_argument("--transport", choices=("in_process", "live"), default="in_process", action=_StackFlag)
+        p.set_defaults(stack_flags=())
 
     p_rep = sub.add_parser("reproduce", help="run a scenario through the proxy and report rates")
     add_workload_flags(p_rep)

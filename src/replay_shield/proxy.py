@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -17,7 +17,9 @@ from urllib.parse import urlsplit
 
 from . import configtext
 from .cache import (
+    CacheKey,
     CachePolicy,
+    CachedResponse,
     KeyMode,
     LookupState,
     ResponseCache,
@@ -26,7 +28,6 @@ from .cache import (
 )
 from .configtext import ConfigError
 from .httpmsg import Request, Response, text_response
-from .urls import FuzzyRuleSet
 
 DEFAULT_INJECTION_HEADER = "public, max-age=600"
 METRICS_PATH = "/__metrics"
@@ -51,22 +52,16 @@ class InjectionConfig:
 
 @dataclass(frozen=True)
 class ThrottleConfig:
-    """Sliding-window limiter for patch-style endpoints.
-
-    A key is denied while the trailing window already holds max_requests_per_key
-    allowed requests; denied requests do not extend the window.
-    """
+    """The proxy's limiter for patch-style endpoints: requests whose path starts
+    with one of matched_path_prefixes go through a SlidingWindowThrottle."""
 
     enabled: bool = False
     window_seconds: float = 30.0
-    max_requests_per_key: int = 1
     matched_path_prefixes: tuple[str, ...] = ("/save/_embed/",)
 
     def __post_init__(self):
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be > 0")
-        if self.max_requests_per_key < 1:
-            raise ValueError("max_requests_per_key must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,25 +71,31 @@ class ThrottleDecision:
 
 
 class SlidingWindowThrottle:
-    def __init__(self, cfg: ThrottleConfig):
-        self.cfg = cfg
-        self._allowed: dict[str, deque[float]] = {}
+    """One allowed request per key per window; denied requests do not extend it.
+
+    Keys are kept in the order of their last allowed time, which arrives in
+    time order, so keys whose window has passed are forgotten from the front
+    and the map holds only the keys allowed within the last window.
+    """
+
+    def __init__(self, window_seconds: float):
+        self.window_seconds = window_seconds
+        self._last_allowed: OrderedDict[str, float] = OrderedDict()
         self._lock = threading.Lock()
 
-    def check(self, path: str, key: str, now: float) -> ThrottleDecision:
-        cfg = self.cfg
-        if not cfg.enabled:
-            return ThrottleDecision(True)
-        if not any(path.startswith(p) for p in cfg.matched_path_prefixes):
-            return ThrottleDecision(True)
+    def check(self, key: str, now: float) -> ThrottleDecision:
+        cutoff = now - self.window_seconds
         with self._lock:
-            window = self._allowed.setdefault(key, deque())
-            cutoff = now - cfg.window_seconds
-            while window and window[0] <= cutoff:
-                window.popleft()
-            if len(window) >= cfg.max_requests_per_key:
-                return ThrottleDecision(False, retry_after=window[0] + cfg.window_seconds - now)
-            window.append(now)
+            last_allowed = self._last_allowed
+            while last_allowed and next(iter(last_allowed.values())) <= cutoff:
+                last_allowed.popitem(last=False)
+            last = last_allowed.get(key)
+            # a concurrent caller's `now` may be slightly older, leaving an
+            # expired key behind a live one
+            if last is not None and last > cutoff:
+                return ThrottleDecision(False, retry_after=last + self.window_seconds - now)
+            last_allowed[key] = now
+            last_allowed.move_to_end(key)
             return ThrottleDecision(True)
 
 
@@ -149,7 +150,6 @@ class ProxyConfig:
     injection: InjectionConfig = field(default_factory=InjectionConfig)
     throttle: ThrottleConfig = field(default_factory=ThrottleConfig)
     proxy_caching_enabled: bool = True
-    coalesce_requests: bool = False
 
     def __post_init__(self):
         d = parse_cache_control(self.injection.header_value)
@@ -169,20 +169,31 @@ def inject_cache_control(response: Response, injection: InjectionConfig) -> Resp
     return response.with_header("Cache-Control", injection.header_value)
 
 
+class _Flight:
+    """The requests that missed one cache key and have not finished yet."""
+
+    __slots__ = ("lock", "requests")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.requests = 0
+
+
 class ReverseProxy:
     """Request pipeline: throttle -> cache lookup -> upstream fetch -> inject -> store.
 
     `upstream` maps a Request to a Response; it may be the in-process simulator
     or a socket client. It signals connection failure with UpstreamUnreachable.
+    Concurrent misses on one cache key share a single upstream fetch.
     """
 
     def __init__(self, config: ProxyConfig, upstream: Callable[[Request], Response]):
         self.config = config
         self.upstream = upstream
         self.cache = ResponseCache(config.policy)
-        self.throttle = SlidingWindowThrottle(config.throttle)
+        self.throttle = SlidingWindowThrottle(config.throttle.window_seconds)
         self._metrics = _MetricsCounter()
-        self._inflight: dict[tuple[str, str], threading.Lock] = {}
+        self._inflight: dict[tuple[str, str], _Flight] = {}
         self._inflight_guard = threading.Lock()
 
     def metrics_snapshot(self) -> ProxyMetrics:
@@ -196,69 +207,76 @@ class ReverseProxy:
             # malformed requests never enter the counted pipeline
             return text_response(400, "bad request").with_header("X-Cache", "MISS")
 
-        decision = self.throttle.check(parts.path, request.url, now)
-        if not decision.allowed:
-            self._metrics.count(429, throttled=1)
-            return Response(
-                429,
-                (("Retry-After", str(max(1, math.ceil(decision.retry_after)))), ("X-Cache", "MISS")),
-            )
+        throttle = self.config.throttle
+        if throttle.enabled and parts.path.startswith(throttle.matched_path_prefixes):
+            decision = self.throttle.check(request.url, now)
+            if not decision.allowed:
+                self._metrics.count(429, throttled=1)
+                return Response(
+                    429,
+                    (("Retry-After", str(max(1, math.ceil(decision.retry_after)))), ("X-Cache", "MISS")),
+                )
 
-        caching = self.config.proxy_caching_enabled and request.method == "GET"
+        if not (self.config.proxy_caching_enabled and request.method == "GET"):
+            return self._fetch(request, None, now)
         key = make_cache_key(request.method, request.url, self.config.policy)
-        if caching:
-            found = self.cache.lookup(key, now)
-            if found.state is LookupState.FRESH:
-                self._metrics.count(found.entry.status, hit=1)
-                return found.entry.to_response().with_header("X-Cache", "HIT")
+        found = self.cache.lookup(key, now)
+        if found.state is LookupState.FRESH:
+            return self._hit(found.entry)
 
-        if self.config.coalesce_requests and caching:
-            lock = self._key_lock(key)
-            with lock:
+        # Single flight: the first request to miss a key fetches it; the others
+        # wait for it, then find the stored response. The key's entry lives only
+        # while requests for it are in flight.
+        k = (key.method, key.key)
+        with self._inflight_guard:
+            flight = self._inflight.get(k)
+            if flight is None:
+                flight = self._inflight[k] = _Flight()
+            flight.requests += 1
+        try:
+            with flight.lock:
                 found = self.cache.lookup(key, now)
                 if found.state is LookupState.FRESH:
-                    self._metrics.count(found.entry.status, hit=1)
-                    return found.entry.to_response().with_header("X-Cache", "HIT")
-                return self._fetch_and_store(request, key, caching, now)
-        return self._fetch_and_store(request, key, caching, now)
+                    return self._hit(found.entry)
+                return self._fetch(request, key, now)
+        finally:
+            with self._inflight_guard:
+                flight.requests -= 1
+                if not flight.requests:
+                    del self._inflight[k]
 
-    def _fetch_and_store(self, request: Request, key, caching: bool, now: float) -> Response:
+    def _hit(self, entry: CachedResponse) -> Response:
+        self._metrics.count(entry.status, hit=1)
+        return entry.to_response().with_header("X-Cache", "HIT")
+
+    def _fetch(self, request: Request, key: CacheKey | None, now: float) -> Response:
+        """Forward to the upstream; store the answer under `key` unless it is None."""
         try:
             response = self.upstream(request)
         except UpstreamUnreachable:
             self._metrics.count(502, upstream=1)
             return text_response(502, "upstream unreachable").with_header("X-Cache", "MISS")
         response = inject_cache_control(response, self.config.injection)
-        if caching:
+        if key is not None:
             directives = parse_cache_control(response.header("Cache-Control"))
             self.cache.store(key, response, directives, now)
         self._metrics.count(response.status, upstream=1)
         return response.with_header("X-Cache", "MISS")
 
-    def _key_lock(self, key) -> threading.Lock:
-        k = (key.method, key.key)
-        with self._inflight_guard:
-            lock = self._inflight.get(k)
-            if lock is None:
-                lock = self._inflight[k] = threading.Lock()
-            return lock
+
+CONFIG_KEYS = frozenset({
+    "listen", "upstream", "injection.mode", "injection.header",
+    "cache.enabled", "cache.statuses", "cache.max_age", "cache.key_mode",
+    "cache.capacity", "throttle.enabled", "throttle.window_seconds",
+    "throttle.prefixes",
+})
 
 
 def proxy_config_from_text(text: str) -> ProxyConfig:
-    """Build a ProxyConfig from `key = value` config text.
-
-    Recognized keys: listen, upstream, injection.mode, injection.header,
-    cache.enabled, cache.statuses, cache.max_age, cache.key_mode,
-    cache.capacity, throttle.enabled, throttle.window_seconds, throttle.prefixes.
-    """
+    """Build a ProxyConfig from `key = value` config text; any key outside
+    CONFIG_KEYS is an error."""
     items = configtext.parse_config_text(text)
-    known = {
-        "listen", "upstream", "injection.mode", "injection.header",
-        "cache.enabled", "cache.statuses", "cache.max_age", "cache.key_mode",
-        "cache.capacity", "throttle.enabled", "throttle.window_seconds",
-        "throttle.prefixes", "coalesce",
-    }
-    unknown = set(items) - known
+    unknown = set(items) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
@@ -286,7 +304,6 @@ def proxy_config_from_text(text: str) -> ProxyConfig:
             default_max_age=configtext.parse_int(items.get("cache.max_age", "600"), "cache.max_age"),
             key_mode=key_mode,
             capacity=configtext.parse_int(items.get("cache.capacity", "10000"), "cache.capacity"),
-            fuzzy_rules=FuzzyRuleSet(strip_numeric_only_params=True),
         )
         throttle = ThrottleConfig(
             enabled=configtext.parse_bool(items.get("throttle.enabled", "false"), "throttle.enabled"),
@@ -302,7 +319,6 @@ def proxy_config_from_text(text: str) -> ProxyConfig:
             injection=injection,
             throttle=throttle,
             proxy_caching_enabled=configtext.parse_bool(items.get("cache.enabled", "true"), "cache.enabled"),
-            coalesce_requests=configtext.parse_bool(items.get("coalesce", "false"), "coalesce"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
 
 from .httpmsg import Request, Response, text_response
-from .proxy import SlidingWindowThrottle, ThrottleConfig
+from .proxy import SlidingWindowThrottle
 from .urls import (
     UriR,
     UrlError,
@@ -33,6 +34,11 @@ NOT_FOUND_BODY = b"<!doctype html><html><body><h1>404 Not Found</h1><p>capture n
 
 # logical time 0 of a simulation run, used to mint timestamps for patched captures
 DEFAULT_EPOCH = datetime(2021, 9, 1, 0, 0, 0, tzinfo=timezone.utc)
+
+# patch mode: where misses are redirected, and how long a target's repeat
+# patch attempts are answered 429
+PATCH_PATH_PREFIX = "/save/_embed/"
+PATCH_THROTTLE_SECONDS = 30.0
 
 
 class ManifestParseError(ValueError):
@@ -84,12 +90,6 @@ class MementoStore:
 @dataclass(frozen=True)
 class PatchConfig:
     enabled: bool = False
-    patch_path_prefix: str = "/save/_embed/"
-    throttle: ThrottleConfig = field(default_factory=lambda: ThrottleConfig(enabled=True))
-
-    def __post_init__(self):
-        if not (self.patch_path_prefix.startswith("/") and self.patch_path_prefix.endswith("/")):
-            raise ValueError("patch_path_prefix must begin and end with '/'")
 
 
 def rfc1123_from_timestamp14(ts14: str) -> str:
@@ -117,31 +117,34 @@ class UpstreamSimulator:
         self.store = store
         self.patch_config = patch
         self.epoch = epoch
-        self.throttle = SlidingWindowThrottle(patch.throttle)
-        self.request_log: list[tuple[str, int]] = []
+        self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
+        self._status_counts: dict[int, int] = {}
+        self._count_lock = threading.Lock()
 
     @property
     def request_count(self) -> int:
-        return len(self.request_log)
+        return sum(self.status_counts().values())
 
     def status_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for _, status in self.request_log:
-            out[status] = out.get(status, 0) + 1
-        return out
+        with self._count_lock:
+            return dict(self._status_counts)
+
+    def _count(self, status: int) -> None:
+        with self._count_lock:
+            self._status_counts[status] = self._status_counts.get(status, 0) + 1
 
     def __call__(self, request: Request, now: float = 0.0) -> Response:
         return self.serve(request, now)
 
     def serve(self, request: Request, now: float) -> Response:
         response = self._dispatch(request, now)
-        self.request_log.append((request.url, response.status))
+        self._count(response.status)
         return response
 
     def _dispatch(self, request: Request, now: float) -> Response:
         path_and_query = _path_and_query(request.url)
-        if self.patch_config.enabled and path_and_query.startswith(self.patch_config.patch_path_prefix):
-            return self._patch(path_and_query[len(self.patch_config.patch_path_prefix):], now)
+        if self.patch_config.enabled and path_and_query.startswith(PATCH_PATH_PREFIX):
+            return self._patch(path_and_query[len(PATCH_PATH_PREFIX):], now)
 
         try:
             prefix, ts, modifier, remainder = split_at_timestamp(path_and_query)
@@ -167,13 +170,13 @@ class UpstreamSimulator:
             return Response(302, (("Location", location),))
 
         if self.patch_config.enabled:
-            return Response(302, (("Location", f"{self.patch_config.patch_path_prefix}{remainder}"),))
+            return Response(302, (("Location", f"{PATCH_PATH_PREFIX}{remainder}"),))
         return Response(404, (("Content-Type", "text/html"),), NOT_FOUND_BODY)
 
     def patch(self, target_url: str, now: float) -> Response:
         """Attempt to archive `target_url` from the simulated live web."""
         response = self._patch(target_url, now)
-        self.request_log.append((self.patch_config.patch_path_prefix + target_url, response.status))
+        self._count(response.status)
         return response
 
     def _patch(self, target_url: str, now: float) -> Response:
@@ -182,7 +185,7 @@ class UpstreamSimulator:
         except UrlError:
             return text_response(404, "unresolvable patch target")
         key = canonicalize(target)
-        decision = self.throttle.check(self.patch_config.patch_path_prefix, key, now)
+        decision = self.throttle.check(key, now)
         if not decision.allowed:
             return Response(429, (("Retry-After", str(max(1, math.ceil(decision.retry_after)))),))
         live = self.store.live_web.get(key)

@@ -15,10 +15,8 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime
 
-# Modifiers observed on real replay URLs. Unknown two-or-three-letter suffixes
-# ending in "_" are accepted as opaque modifiers rather than rejected.
-KNOWN_MODIFIERS = frozenset({"im_", "js_", "cs_", "mp_", "oe_", "id_"})
-
+# Any two-or-three-letter suffix ending in "_" (im_, js_, cs_, ...) is accepted
+# as an opaque modifier.
 _TS_SEGMENT = re.compile(r"/(\d{14})([a-z]{2,3}_)?/")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
@@ -77,18 +75,21 @@ class UriM:
         return f"{self.archive_prefix}/{self.timestamp14}{self.modifier}/{self.target.format()}"
 
 
+# all-digit query values longer than this count as cache busters
+NUMERIC_PARAM_DIGITS = 8
+
+
 @dataclass(frozen=True)
 class FuzzyRuleSet:
     """Query-parameter stripping rules applied before canonicalization.
 
     A parameter is dropped when its name is in `strip_params`, or when
     `strip_numeric_only_params` is set and its value is all digits and longer
-    than `threshold_digits` characters. Scheme, host, and path are never touched.
+    than NUMERIC_PARAM_DIGITS characters. Scheme, host, and path are never touched.
     """
 
     strip_params: frozenset[str] = frozenset()
     strip_numeric_only_params: bool = False
-    threshold_digits: int = 8
 
     def strips(self, name: str, value: str | None) -> bool:
         if name in self.strip_params:
@@ -97,7 +98,7 @@ class FuzzyRuleSet:
             self.strip_numeric_only_params
             and value is not None
             and value.isdigit()
-            and len(value) > self.threshold_digits
+            and len(value) > NUMERIC_PARAM_DIGITS
         ):
             return True
         return False
@@ -247,36 +248,3 @@ def fuzzy_key_of(url: str, rules: FuzzyRuleSet = EMPTY_RULES) -> str:
     except UrlError:
         return url
 
-
-def detect_volatile_params(urls: list[UriR]) -> set[str]:
-    """Find query parameters that vary across otherwise-identical URLs.
-
-    URLs are grouped by (host, path); a parameter is volatile when at least two
-    URLs in a group agree on everything but that parameter's value.
-    """
-    if len(urls) < 2:
-        return set()
-    groups: dict[tuple[str, str], list[UriR]] = {}
-    for u in urls:
-        groups.setdefault((u.host, u.path), []).append(u)
-
-    # None values (bare names) must not be compared against strings
-    pair_order = lambda p: (p[0], p[1] is not None, p[1] or "")
-
-    volatile: set[str] = set()
-    for members in groups.values():
-        names = {n for u in members for n, _ in u.query}
-        for name in names:
-            # bucket by everything-but-name; a bucket holding two distinct
-            # value sequences for the name means the name varies across
-            # otherwise-identical URLs
-            buckets: dict[tuple, set[tuple]] = {}
-            for u in members:
-                rest = tuple(sorted((p for p in u.query if p[0] != name), key=pair_order))
-                values = tuple(v for n, v in u.query if n == name)
-                if not values:
-                    continue
-                buckets.setdefault(rest, set()).add(values)
-            if any(len(seqs) > 1 for seqs in buckets.values()):
-                volatile.add(name)
-    return volatile

@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import urlsplit
@@ -24,6 +25,16 @@ LogSink = Callable[[str], None]
 # How often serve_forever checks for shutdown; close() waits up to this long,
 # so serve_forever's own default of 0.5 s would add half a second per listener.
 _SHUTDOWN_POLL_SECONDS = 0.05
+
+# A server keeps its most recent request log lines for inspection; the full log
+# goes to the echo sink.
+LOG_LINES_KEPT = 1000
+
+# Headers that describe one connection, not the message (RFC 9110 section 7.6.1);
+# a relayed response drops them, along with any header its Connection names.
+_HOP_BY_HOP = frozenset(
+    {"connection", "keep-alive", "proxy-connection", "te", "trailer", "transfer-encoding", "upgrade"}
+)
 
 
 def split_hostport(address: str) -> tuple[str, int]:
@@ -48,11 +59,20 @@ def http_fetch(address: str, request: Request, timeout: float = 10.0) -> Respons
         conn.request(request.method, origin_form(request.url))
         raw = conn.getresponse()
         body = raw.read()
-        return Response(raw.status, tuple(raw.getheaders()), body)
+        return Response(raw.status, _end_to_end_headers(raw.getheaders()), body)
     except OSError as exc:
         raise UpstreamUnreachable(str(exc)) from exc
     finally:
         conn.close()
+
+
+def _end_to_end_headers(headers: list[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    """`headers` without the hop-by-hop ones, which must not be relayed or cached."""
+    dropped = _HOP_BY_HOP
+    for name, value in headers:
+        if name.lower() == "connection":
+            dropped = dropped.union(token.strip().lower() for token in value.split(","))
+    return tuple((name, value) for name, value in headers if name.lower() not in dropped)
 
 
 class _WireServer(ThreadingHTTPServer):
@@ -63,7 +83,7 @@ class _WireServer(ThreadingHTTPServer):
         self.app = app
         self.echo = echo
         self.started = time.monotonic()
-        self.log_lines: list[str] = []
+        self.log_lines: deque[str] = deque(maxlen=LOG_LINES_KEPT)
         self._log_lock = threading.Lock()
 
     def record(self, line: str) -> None:
@@ -99,13 +119,17 @@ class _WireHandler(BaseHTTPRequestHandler):
         # response also finds the request in the log
         marker = response.header("X-Cache") or "-"
         self.server.record(f"{now:.3f} {method} {url} {response.status} {marker}")
-        self.send_response(response.status)
-        have_length = False
+        self.send_response_only(response.status)
+        present = set()
         for name, value in response.headers:
-            if name.lower() == "content-length":
-                have_length = True
+            present.add(name.lower())
             self.send_header(name, value)
-        if not have_length:
+        # a relayed or cached response already carries the origin's Server and Date
+        if "server" not in present:
+            self.send_header("Server", self.version_string())
+        if "date" not in present:
+            self.send_header("Date", self.date_time_string())
+        if "content-length" not in present:
             self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
         if method != "HEAD" and response.body:
@@ -129,7 +153,9 @@ class ServerHandle:
 
     @property
     def log_lines(self) -> list[str]:
-        return list(self._server.log_lines)
+        """The most recent LOG_LINES_KEPT request log lines, oldest first."""
+        with self._server._log_lock:
+            return list(self._server.log_lines)
 
     def close(self) -> None:
         self._server.shutdown()

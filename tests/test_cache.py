@@ -117,11 +117,6 @@ class TestStore:
         cache.store(key("u"), resp404(), NO_DIRECTIVES, now=0.0)
         assert cache.lookup(key("u"), now=0.0).entry.freshness_lifetime == 120.0
 
-    def test_upstream_directives_ignored_when_disabled(self):
-        cache = ResponseCache(CachePolicy(default_max_age=50, respect_upstream_directives=False))
-        cache.store(key("u"), resp404(), parse_cache_control("max-age=600"), now=0.0)
-        assert cache.lookup(key("u"), now=0.0).entry.freshness_lifetime == 50.0
-
     def test_lru_eviction_two_inserts_capacity_one(self):
         # LRU oracle on a 2-insert trace: first key evicted, second present
         cache = ResponseCache(CachePolicy(capacity=1))
@@ -140,26 +135,6 @@ class TestStore:
         assert cache.lookup(key("a"), now=3.0).state is LookupState.FRESH
         assert cache.lookup(key("b"), now=3.0).state is LookupState.MISS
         assert cache.lookup(key("c"), now=3.0).state is LookupState.FRESH
-
-
-class TestPurge:
-    def test_purge_after_store(self):
-        cache = ResponseCache(CachePolicy())
-        cache.store(key("u"), resp404(), NO_DIRECTIVES, now=0.0)
-        assert cache.purge(key("u")) is True
-        assert cache.lookup(key("u"), now=0.0).state is LookupState.MISS
-
-    def test_purge_absent(self):
-        assert ResponseCache(CachePolicy()).purge(key("nope")) is False
-
-    def test_store_purge_store_sequence(self):
-        cache = ResponseCache(CachePolicy())
-        cache.store(key("u"), resp404(), NO_DIRECTIVES, now=0.0)
-        cache.purge(key("u"))
-        cache.store(key("u"), Response(200, (), b"now here"), NO_DIRECTIVES, now=1.0)
-        got = cache.lookup(key("u"), now=1.5)
-        assert got.state is LookupState.FRESH
-        assert got.entry.status == 200
 
 
 class TestPolicyValidation:

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,8 @@ from replay_shield.cli import (
     run_experiment,
 )
 from replay_shield.cache import KeyMode
-from replay_shield.proxy import InjectionMode, ProxyConfig, ReverseProxy
+from replay_shield.configtext import parse_config_text
+from replay_shield.proxy import CONFIG_KEYS, InjectionMode, ProxyConfig, ReverseProxy, proxy_config_from_text
 from replay_shield.upstream import UpstreamSimulator, parse_manifest_text
 from replay_shield.wire import http_fetch, serve_handler
 from replay_shield.workload import builtin_scenario, spec_to_text
@@ -337,10 +339,35 @@ class TestWorkloadFlags:
             main(["--output", str(tmp_path), *argv])
         assert exc.value.code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--cache", "off"], ["--injection", "off"], ["--key-mode", "fuzzy"], ["--patch", "ia"],
+         ["--manifest", "store.manifest"], ["--transport", "live"]],
+    )
+    def test_base_rejects_flags_of_the_remote_stack(self, tmp_path, capsys, flag):
+        argv = ["--output", str(tmp_path), "run-workload", "--scenario", "mre", "--base", "127.0.0.1:1", *flag]
+        assert main(argv) == EXIT_CONFIG
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "events.csv").exists()
+
     def test_min_repeats_one_without_limiter_is_accepted(self, tmp_path):
         argv = ["--output", str(tmp_path), "reproduce", "--scenario", "mre", "--duration", "5", "--min-repeats", "1"]
         assert main(argv) == EXIT_OK
         assert main(argv + ["--limiter"]) == EXIT_CONFIG
+
+
+class TestProxyConfigKeys:
+    def test_readme_documents_exactly_the_accepted_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Proxy config file", 1)[1].split("```", 2)[1]
+        assert set(parse_config_text(block)) == CONFIG_KEYS
+        proxy_config_from_text(block)  # the documented file is a valid config
+
+    def test_serve_proxy_rejects_coalesce_key(self, tmp_path, capsys):
+        conf = tmp_path / "proxy.conf"
+        conf.write_text("coalesce = true\n")
+        assert main(["--config", str(conf), "serve", "proxy"]) == EXIT_CONFIG
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 class _YieldingStdout(io.StringIO):

@@ -158,42 +158,46 @@ class TestInjectCacheControl:
 
 class TestThrottle:
     def test_sliding_window_replay(self):
-        t = SlidingWindowThrottle(ThrottleConfig(enabled=True))
-        path, key = "/save/_embed/u", "u"
-        assert t.check(path, key, now=0.0).allowed
-        assert not t.check(path, key, now=10.0).allowed
-        assert t.check(path, key, now=31.0).allowed
+        t = SlidingWindowThrottle(30.0)
+        assert t.check("u", now=0.0).allowed
+        assert not t.check("u", now=10.0).allowed
+        assert t.check("u", now=31.0).allowed
 
     def test_denied_requests_do_not_extend_window(self):
-        t = SlidingWindowThrottle(ThrottleConfig(enabled=True))
-        path, key = "/save/_embed/u", "u"
-        assert t.check(path, key, now=0.0).allowed
+        t = SlidingWindowThrottle(30.0)
+        assert t.check("u", now=0.0).allowed
         for at in (5.0, 15.0, 25.0):
-            assert not t.check(path, key, at).allowed
+            assert not t.check("u", at).allowed
         # window anchored at the t=0 allow only
-        assert t.check(path, key, now=30.5).allowed
+        assert t.check("u", now=30.5).allowed
 
     def test_non_matching_path_always_allowed(self):
-        t = SlidingWindowThrottle(ThrottleConfig(enabled=True))
+        proxy = ReverseProxy(ProxyConfig(throttle=ThrottleConfig(enabled=True)), FakeUpstream())
         for i in range(10):
-            assert t.check("/wayback/x", "k", now=float(i)).allowed
+            assert proxy.handle_request(get("http://archive.test/wayback/x"), now=float(i)).status == 200
 
     def test_disabled_always_allows(self):
-        t = SlidingWindowThrottle(ThrottleConfig(enabled=False))
+        proxy = ReverseProxy(ProxyConfig(throttle=ThrottleConfig(enabled=False)), FakeUpstream())
         for i in range(10):
-            assert t.check("/save/_embed/u", "u", now=0.0).allowed
+            assert proxy.handle_request(get("http://archive.test/save/_embed/u"), now=0.0).status == 200
 
     def test_per_key_isolation(self):
-        t = SlidingWindowThrottle(ThrottleConfig(enabled=True))
-        assert t.check("/save/_embed/a", "a", now=0.0).allowed
-        assert t.check("/save/_embed/b", "b", now=1.0).allowed
-        assert not t.check("/save/_embed/a", "a", now=2.0).allowed
+        t = SlidingWindowThrottle(30.0)
+        assert t.check("a", now=0.0).allowed
+        assert t.check("b", now=1.0).allowed
+        assert not t.check("a", now=2.0).allowed
+
+    def test_keys_forgotten_once_their_window_passes(self):
+        t = SlidingWindowThrottle(30.0)
+        for i in range(1000):
+            assert t.check(f"k{i}", now=float(i)).allowed
+            assert len(t._last_allowed) == min(i + 1, 30)
+        assert not t.check("k999", now=1000.0).allowed
+        assert t.check("k0", now=1000.0).allowed
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ThrottleConfig(window_seconds=0)
-        with pytest.raises(ValueError):
-            ThrottleConfig(max_requests_per_key=0)
 
 
 class TestMetrics:
@@ -307,7 +311,7 @@ class TestCoalescing:
             _time.sleep(0.05)
             return Response(404, (), b"")
 
-        proxy = ReverseProxy(ProxyConfig(coalesce_requests=True), slow_upstream)
+        proxy = ReverseProxy(ProxyConfig(), slow_upstream)
         threads = [
             threading.Thread(target=lambda: proxy.handle_request(get("http://a/img"), now=0.0))
             for _ in range(4)
@@ -321,6 +325,42 @@ class TestCoalescing:
         assert m.client_requests == 4
         assert m.upstream_requests == 1
         assert m.cache_hits_fresh == 3
+
+    def test_each_key_fetched_once_and_inflight_emptied_under_contention(self):
+        import sys
+        import threading
+        import time
+
+        calls = []
+
+        def upstream(request):
+            calls.append(request.url)
+            time.sleep(0.001)  # a fetch waits on the network
+            return Response(404, (), b"")
+
+        proxy = ReverseProxy(ProxyConfig(), upstream)
+        urls = [f"http://a/img{i % 20}" for i in range(800)]
+
+        def client(chunk):
+            for u in chunk:
+                proxy.handle_request(get(u), now=0.0)
+
+        # more threads than cores, switching every few bytecodes
+        threads = [threading.Thread(target=client, args=(urls[j::8],)) for j in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == sorted(set(urls))
+        assert proxy._inflight == {}
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.upstream_requests, m.cache_hits_fresh) == (800, 20, 780)
 
 
 class TestConfigText:

@@ -7,7 +7,6 @@ import logging
 import pytest
 
 from replay_shield.httpmsg import Request
-from replay_shield.proxy import ThrottleConfig
 from replay_shield.upstream import (
     ManifestParseError,
     MementoRecord,
@@ -134,20 +133,10 @@ class TestPatch:
         assert sim.patch("http://x.pt/a.jpg", now=10.0).status == 429
         assert sim.patch("http://x.pt/a.jpg", now=31.0).status == 404
 
-    def test_patch_throttle_config_window(self):
-        cfg = PatchConfig(enabled=True, throttle=ThrottleConfig(enabled=True, window_seconds=5))
-        sim = UpstreamSimulator(MementoStore(), patch=cfg)
-        assert sim.patch("http://x.pt/a.jpg", now=0.0).status == 404
-        assert sim.patch("http://x.pt/a.jpg", now=6.0).status == 404
-
     def test_serve_routes_save_embed_to_patch(self):
         sim = UpstreamSimulator(self.live_store(), patch=PatchConfig(enabled=True))
         r = sim.serve(get("http://a.test/save/_embed/http://x.pt/img.jpg"), now=0.0)
         assert r.status == 200
-
-    def test_prefix_validation(self):
-        with pytest.raises(ValueError):
-            PatchConfig(patch_path_prefix="save/_embed/")
 
 
 MANIFEST = """\

@@ -12,10 +12,8 @@ from replay_shield.urls import (
     InvalidTimestamp,
     MalformedTarget,
     NoTimestampSegment,
-    UriR,
     canonical_form,
     canonicalize,
-    detect_volatile_params,
     format_urim,
     fuzzy_reduce,
     parse_urim,
@@ -199,80 +197,6 @@ class TestFuzzyReduce:
 
         stripped = replace(u, query=tuple(p for p in u.query if not rules.strips(*p)))
         assert fuzzy_reduce(stripped, rules) == fuzzy_reduce(u, rules)
-
-
-def oracle_volatile_params(urls: list[UriR]) -> set[str]:
-    """Brute force over URL pairs: a param is volatile when removing it makes two
-    same-host-and-path URLs identical while their values for it differ."""
-    out = set()
-    for i, u1 in enumerate(urls):
-        for u2 in urls[i + 1 :]:
-            if (u1.host, u1.path) != (u2.host, u2.path):
-                continue
-            names = {n for n, _ in u1.query} & {n for n, _ in u2.query}
-            for name in names:
-                rest1 = sorted((p for p in u1.query if p[0] != name), key=repr)
-                rest2 = sorted((p for p in u2.query if p[0] != name), key=repr)
-                v1 = tuple(v for n, v in u1.query if n == name)
-                v2 = tuple(v for n, v in u2.query if n == name)
-                if rest1 == rest2 and v1 != v2:
-                    out.add(name)
-    return out
-
-
-class TestDetectVolatileParams:
-    def test_varying_ts(self):
-        urls = [parse_urir(f"http://a.com/f?ts={i}") for i in (1, 2, 3)]
-        assert detect_volatile_params(urls) == {"ts"}
-        assert detect_volatile_params(urls) == oracle_volatile_params(urls)
-
-    def test_no_variation(self):
-        urls = [parse_urir("http://a.com/f?a=1"), parse_urir("http://a.com/f?a=1")]
-        assert detect_volatile_params(urls) == set()
-
-    def test_different_paths_never_grouped(self):
-        urls = [parse_urir("http://a.com/f?ts=1&v=2"), parse_urir("http://a.com/g?ts=9&v=2")]
-        assert detect_volatile_params(urls) == set()
-
-    def test_mixed_stable_and_volatile(self):
-        urls = [
-            parse_urir("http://a.com/f?v=2&ts=100"),
-            parse_urir("http://a.com/f?v=2&ts=200"),
-            parse_urir("http://a.com/f?v=2&ts=300"),
-            parse_urir("http://b.com/f?x=1"),
-        ]
-        assert detect_volatile_params(urls) == {"ts"}
-        assert detect_volatile_params(urls) == oracle_volatile_params(urls)
-
-    def test_randomized_against_oracle(self):
-        rng = random.Random(20210901)
-        for _ in range(50):
-            urls = []
-            for _ in range(rng.randint(2, 10)):
-                host = rng.choice(["a.com", "b.com"])
-                path = rng.choice(["/f", "/g"])
-                params = []
-                for name in ("ts", "v", "q"):
-                    if rng.random() < 0.7:
-                        value = str(rng.choice([1, 2, 3, "x"]))
-                        params.append(f"{name}={value}")
-                rng.shuffle(params)
-                q = "&".join(params)
-                urls.append(parse_urir(f"http://{host}{path}" + (f"?{q}" if q else "")))
-            assert detect_volatile_params(urls) == oracle_volatile_params(urls)
-
-    def test_result_subset_of_seen_params(self):
-        urls = [parse_urir("http://a.com/f?ts=1"), parse_urir("http://a.com/f?ts=2")]
-        seen = {n for u in urls for n, _ in u.query}
-        assert detect_volatile_params(urls) <= seen
-
-    def test_bare_and_valued_params_with_same_name(self):
-        # a repeated name mixing bare (?a) and valued (?a=1) occurrences must not crash
-        urls = [
-            parse_urir("http://a.com/f?a&a=1&ts=100"),
-            parse_urir("http://a.com/f?a&a=1&ts=200"),
-        ]
-        assert detect_volatile_params(urls) == {"ts"}
 
 
 def random_url(rng: random.Random) -> str:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import http.client
+import itertools
 
 import pytest
 
-from replay_shield.httpmsg import Request
-from replay_shield.proxy import ProxyConfig, ReverseProxy, UpstreamUnreachable
-from replay_shield.upstream import UpstreamSimulator, parse_manifest_text
-from replay_shield.wire import http_fetch, origin_form, serve_handler, split_hostport
+from replay_shield.cache import CachePolicy
+from replay_shield.httpmsg import Request, Response
+from replay_shield.proxy import ProxyConfig, ReverseProxy, ThrottleConfig, UpstreamUnreachable
+from replay_shield.upstream import MementoStore, PatchConfig, UpstreamSimulator, parse_manifest_text
+from replay_shield.wire import LOG_LINES_KEPT, http_fetch, origin_form, serve_handler, split_hostport
 
 MANIFEST = (
     "20090628044051\t200\timage/png\thttp://site.pt/ok.png\tinline:pngbytes\n"
@@ -118,6 +120,25 @@ class TestProxyOverSockets:
                 finally:
                     conn.close()
 
+    def test_server_date_and_length_sent_once(self):
+        sim = make_sim()
+        with serve_handler(sim.serve) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                host, port = front.address.split(":")
+                conn = http.client.HTTPConnection(host, int(port), timeout=5)
+                try:
+                    for marker in ("MISS", "HIT"):
+                        conn.request("GET", "/wayback/20090628044051im_/http://site.pt/gone.png")
+                        raw = conn.getresponse()
+                        raw.read()
+                        assert raw.getheader("X-Cache") == marker
+                        names = [name.lower() for name, _ in raw.getheaders()]
+                        for name in ("server", "date", "content-length"):
+                            assert names.count(name) == 1, (marker, name, names)
+                finally:
+                    conn.close()
+
     def test_metrics_endpoint_over_wire(self):
         sim = make_sim()
         with serve_handler(sim.serve) as upstream:
@@ -142,3 +163,58 @@ class TestHelpers:
     def test_http_fetch_raises_on_dead_port(self):
         with pytest.raises(UpstreamUnreachable):
             http_fetch("127.0.0.1:1", Request("GET", "http://x/"))
+
+    def test_http_fetch_drops_hop_by_hop_headers(self):
+        headers = (("Connection", "X-Trace"), ("X-Trace", "1"), ("Keep-Alive", "timeout=5"),
+                   ("Upgrade", "h2c"), ("X-Kept", "yes"))
+        with serve_handler(lambda request, now: Response(200, headers, b"ok")) as handle:
+            response = http_fetch(handle.address, Request("GET", f"http://{handle.address}/"))
+        names = {name.lower() for name, _ in response.headers}
+        assert names.isdisjoint({"connection", "x-trace", "keep-alive", "upgrade"})
+        assert (response.header("X-Kept"), response.body) == ("yes", b"ok")
+
+
+def test_unique_urls_leave_bounded_state():
+    """Unique URLs, half of them patch attempts, through a throttling proxy, the
+    patching simulator and one listener: every per-key and per-request map
+    stays within its bound."""
+    sim = UpstreamSimulator(MementoStore(), patch=PatchConfig(enabled=True))
+    proxy = ReverseProxy(ProxyConfig(policy=CachePolicy(capacity=1000), throttle=ThrottleConfig(enabled=True)),
+                         lambda req: sim.serve(req, now))
+    ticks = itertools.count()
+    now = 0.0
+
+    def app(request, _wall_clock):
+        # one logical second per request, so a 30 s throttle window spans 30 requests
+        nonlocal now
+        now = float(next(ticks))
+        return proxy.handle_request(request, now)
+
+    n = 5000
+    with serve_handler(app) as front:
+        host, port = front.address.split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            for i in range(n):
+                path = (f"/save/_embed/http://x.test/{i}.png" if i % 2
+                        else f"/wayback/20210901000000im_/http://x.test/{i}.png")
+                conn.request("GET", path)
+                raw = conn.getresponse()
+                raw.read()
+                assert raw.status == (404 if i % 2 else 302)
+                assert proxy._inflight == {}
+                if i % 500 == 0:
+                    assert len(proxy.throttle._last_allowed) <= 16
+                    assert len(sim.throttle._last_allowed) <= 16
+                    assert len(proxy.cache) <= 1000
+                    assert len(front.log_lines) <= LOG_LINES_KEPT
+        finally:
+            conn.close()
+        lines = front.log_lines
+    assert len(lines) == LOG_LINES_KEPT
+    assert lines[-1].split(" ")[2].endswith(f"/x.test/{n - 1}.png")
+    assert len(proxy.throttle._last_allowed) <= 16
+    assert len(sim.throttle._last_allowed) <= 16
+    assert len(proxy.cache) == 1000
+    assert sim.request_count == n
+    assert sim.status_counts() == {302: n // 2, 404: n // 2}
