@@ -27,10 +27,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def format_config_text(items: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in items.items())
-
-
 def parse_bool(value: str, key: str) -> bool:
     v = value.strip().lower()
     if v in ("true", "on", "yes", "1"):

@@ -222,7 +222,7 @@ class ReverseProxy:
         key = make_cache_key(request.method, request.url, self.config.policy)
         found = self.cache.lookup(key, now)
         if found.state is LookupState.FRESH:
-            return self._hit(found.entry)
+            return self._hit(found.entry, now)
 
         # Single flight: the first request to miss a key fetches it; the others
         # wait for it, then find the stored response. The key's entry lives only
@@ -237,7 +237,7 @@ class ReverseProxy:
             with flight.lock:
                 found = self.cache.lookup(key, now)
                 if found.state is LookupState.FRESH:
-                    return self._hit(found.entry)
+                    return self._hit(found.entry, now)
                 return self._fetch(request, key, now)
         finally:
             with self._inflight_guard:
@@ -245,9 +245,13 @@ class ReverseProxy:
                 if not flight.requests:
                     del self._inflight[k]
 
-    def _hit(self, entry: CachedResponse) -> Response:
+    def _hit(self, entry: CachedResponse, now: float) -> Response:
+        """The stored response as served from cache: with its Age (RFC 9111
+        sections 4 and 5.1) and the HIT marker, replacing any stored ones."""
         self._metrics.count(entry.status, hit=1)
-        return entry.to_response().with_header("X-Cache", "HIT")
+        headers = tuple((n, v) for n, v in entry.headers if n.lower() not in ("age", "x-cache"))
+        headers += (("Age", str(int(now - entry.stored_at))), ("X-Cache", "HIT"))
+        return Response(entry.status, headers, entry.body)
 
     def _fetch(self, request: Request, key: CacheKey | None, now: float) -> Response:
         """Forward to the upstream; store the answer under `key` unless it is None."""

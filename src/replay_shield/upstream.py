@@ -67,8 +67,12 @@ class MementoStore:
     records: dict[tuple[str, str], MementoRecord] = field(default_factory=dict)
     live_web: dict[str, tuple[int, str, bytes]] = field(default_factory=dict)
 
-    def insert(self, record: MementoRecord) -> None:
-        self.records[(canonicalize(record.target), record.timestamp14)] = record
+    def insert(self, record: MementoRecord) -> bool:
+        """Store `record`; True when it replaced one for the same target and timestamp."""
+        key = (canonicalize(record.target), record.timestamp14)
+        replaced = key in self.records
+        self.records[key] = record
+        return replaced
 
     def exact(self, key: str, timestamp14: str) -> MementoRecord | None:
         return self.records.get((key, timestamp14))
@@ -252,11 +256,8 @@ def parse_manifest_text(text: str, base_dir: Path | None = None) -> MementoStore
             validate_timestamp14(head)
         except UrlError as exc:
             raise ManifestParseError(lineno, str(exc)) from None
-        record = MementoRecord(target, head, status, content_type, body)
-        dup_key = (canonicalize(target), head)
-        if dup_key in store.records:
+        if store.insert(MementoRecord(target, head, status, content_type, body)):
             logger.warning("manifest line %d: duplicate record for %s@%s, last one wins", lineno, target_url, head)
-        store.records[dup_key] = record
     return store
 
 

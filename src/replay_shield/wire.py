@@ -9,6 +9,7 @@ simulator objects run in-process or behind a real listener.
 from __future__ import annotations
 
 import http.client
+import logging
 import threading
 import time
 from collections import deque
@@ -21,6 +22,8 @@ from .proxy import UpstreamUnreachable
 
 Handler = Callable[[Request, float], Response]
 LogSink = Callable[[str], None]
+
+_log = logging.getLogger(__name__)
 
 # How often serve_forever checks for shutdown; close() waits up to this long,
 # so serve_forever's own default of 0.5 s would add half a second per listener.
@@ -114,6 +117,7 @@ class _WireHandler(BaseHTTPRequestHandler):
         try:
             response = self.server.app(request, now)
         except Exception:  # a handler bug must not kill the connection thread
+            _log.exception("handler failed on %s %s", method, url)
             response = Response(500, (("Content-Type", "text/plain"),), b"internal error")
         # logged before the response goes out, so a client that has its
         # response also finds the request in the log

@@ -2,9 +2,12 @@
 
 A page is a declarative spec: resources fetched once at load plus behaviors
 that keep issuing requests on a schedule (carousel loops, loader retries,
-onerror fallbacks, XHR polls). Time advances in 0.1s ticks on a logical clock;
-the transport has zero latency, so request rates are purely schedule-driven
-and two runs over the same upstream state produce identical event logs.
+onerror fallbacks, XHR polls). A behavior is one dataclass that owns its
+`period`, the URLs it can request (`request_urls`) and its firing step: `run`
+returns a generator that does one firing's fetches per `next()`, its state
+held in local variables. Time advances in 0.1s ticks on a logical clock; the
+transport has zero latency, so request rates are purely schedule-driven and
+two runs over the same upstream state produce identical event logs.
 
 Every would-be request consults the browser memory-cache model first, then the
 optional repeat limiter, and only then the transport.
@@ -13,15 +16,16 @@ optional repeat limiter, and only then the transport.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 from urllib.parse import urljoin
 
 from . import configtext
-from .cache import parse_cache_control
+from .cache import CachedResponse, parse_cache_control
 from .configtext import ConfigError
 from .httpmsg import Request, Response
 
@@ -30,6 +34,8 @@ _EPS = 1e-9
 _MAX_REDIRECTS = 5
 
 Transport = Callable[[Request], Response]
+# one logical resource fetch at the current simulated time, redirects followed
+Fetch = Callable[[str], Response]
 
 
 class UnknownScenario(ValueError):
@@ -62,6 +68,14 @@ class CarouselLoop:
         if not self.urls:
             raise ValueError("carousel needs at least one URL")
 
+    def request_urls(self) -> tuple[str, ...]:
+        return self.urls
+
+    def run(self, fetch: Fetch) -> Iterator[None]:
+        for url in itertools.cycle(self.urls):
+            fetch(url)
+            yield
+
 
 @dataclass(frozen=True)
 class LoaderRetry:
@@ -82,6 +96,19 @@ class LoaderRetry:
         if "#" not in self.url_template:
             raise ValueError("url_template needs a '#' placeholder")
 
+    @property
+    def period(self) -> float:
+        return self.cycle_period
+
+    def request_urls(self) -> tuple[str, ...]:
+        return tuple(self.url_template.replace("#", str(i)) for i in range(self.count))
+
+    def run(self, fetch: Fetch) -> Iterator[None]:
+        pending = self.request_urls()
+        while True:
+            pending = [url for url in pending if fetch(url).status != 200]
+            yield
+
 
 @dataclass(frozen=True)
 class OnErrorFallback:
@@ -96,6 +123,21 @@ class OnErrorFallback:
         if self.retry_period <= 0:
             raise ValueError("retry_period must be > 0")
 
+    @property
+    def period(self) -> float:
+        return self.retry_period
+
+    def request_urls(self) -> tuple[str, ...]:
+        return self.primary, self.fallback_template.replace("#", self.primary)
+
+    def run(self, fetch: Fetch) -> Iterator[None]:
+        primary, fallback = self.request_urls()
+        while fetch(primary).status != 200:
+            fetch(fallback)
+            yield
+        while True:
+            yield
+
 
 @dataclass(frozen=True)
 class XhrPoll:
@@ -107,6 +149,18 @@ class XhrPoll:
     def __post_init__(self):
         if self.interval <= 0:
             raise ValueError("interval must be > 0")
+
+    @property
+    def period(self) -> float:
+        return self.interval
+
+    def request_urls(self) -> tuple[str, ...]:
+        return (self.url,)
+
+    def run(self, fetch: Fetch) -> Iterator[None]:
+        while True:
+            fetch(self.url)
+            yield
 
 
 Behavior = CarouselLoop | LoaderRetry | OnErrorFallback | XhrPoll
@@ -124,18 +178,7 @@ class PageSpec:
             raise ValueError("duration must be > 0")
 
     def distinct_urls(self) -> set[str]:
-        urls = set(self.essential_resources)
-        for b in self.behaviors:
-            if isinstance(b, CarouselLoop):
-                urls.update(b.urls)
-            elif isinstance(b, LoaderRetry):
-                urls.update(b.url_template.replace("#", str(i)) for i in range(b.count))
-            elif isinstance(b, OnErrorFallback):
-                urls.add(b.primary)
-                urls.add(b.fallback_template.replace("#", b.primary))
-            elif isinstance(b, XhrPoll):
-                urls.add(b.url)
-        return urls
+        return set(self.essential_resources).union(*(b.request_urls() for b in self.behaviors))
 
 
 @dataclass(frozen=True)
@@ -173,7 +216,7 @@ class ClientEvent:
     status: int
 
 
-def browser_cache_decide(url: str, response: Response) -> float | None:
+def browser_cache_decide(response: Response) -> float | None:
     """Lifetime to cache `response` under, or None for do-not-cache.
 
     Browsers keep 200s in the memory cache for the whole session; error
@@ -189,113 +232,35 @@ def browser_cache_decide(url: str, response: Response) -> float | None:
     return None
 
 
-@dataclass
-class _BrowserEntry:
-    response: Response
-    stored_at: float
-    lifetime: float
-
-
 class BrowserCacheModel:
     def __init__(self):
-        self.entries: dict[str, _BrowserEntry] = {}
+        self.entries: dict[str, CachedResponse] = {}
 
     def fresh_response(self, url: str, now: float) -> Response | None:
         entry = self.entries.get(url)
-        if entry is not None and now - entry.stored_at < entry.lifetime:
-            return entry.response
+        if entry is not None and entry.is_fresh(now):
+            return entry.to_response()
         return None
 
     def offer(self, url: str, response: Response, now: float) -> None:
-        lifetime = browser_cache_decide(url, response)
+        lifetime = browser_cache_decide(response)
         if lifetime is not None:
-            self.entries[url] = _BrowserEntry(response, now, lifetime)
-
-
-class _BehaviorRun:
-    def __init__(self, behavior: Behavior):
-        self.behavior = behavior
-        self.fired = 0
-
-    @property
-    def period(self) -> float:
-        b = self.behavior
-        if isinstance(b, CarouselLoop):
-            return b.period
-        if isinstance(b, LoaderRetry):
-            return b.cycle_period
-        if isinstance(b, OnErrorFallback):
-            return b.retry_period
-        return b.interval
-
-    def next_due(self) -> float:
-        return (self.fired + 1) * self.period
-
-
-class _CarouselRun(_BehaviorRun):
-    def __init__(self, behavior: CarouselLoop):
-        super().__init__(behavior)
-        self.index = 0
-
-    def fire(self, page: "_PageRun", t: float) -> None:
-        page.fetch(self.behavior.urls[self.index % len(self.behavior.urls)], t)
-        self.index += 1
-
-
-class _LoaderRetryRun(_BehaviorRun):
-    def __init__(self, behavior: LoaderRetry):
-        super().__init__(behavior)
-        self.pending = [behavior.url_template.replace("#", str(i)) for i in range(behavior.count)]
-
-    def fire(self, page: "_PageRun", t: float) -> None:
-        for url in list(self.pending):
-            if page.fetch(url, t).status == 200:
-                self.pending.remove(url)
-
-
-class _OnErrorRun(_BehaviorRun):
-    def __init__(self, behavior: OnErrorFallback):
-        super().__init__(behavior)
-        self.succeeded = False
-
-    def fire(self, page: "_PageRun", t: float) -> None:
-        if self.succeeded:
-            return
-        b = self.behavior
-        if page.fetch(b.primary, t).status == 200:
-            self.succeeded = True
-            return
-        page.fetch(b.fallback_template.replace("#", b.primary), t)
-
-
-class _XhrPollRun(_BehaviorRun):
-    def fire(self, page: "_PageRun", t: float) -> None:
-        page.fetch(self.behavior.url, t)
-
-
-def _make_run(behavior: Behavior) -> _BehaviorRun:
-    if isinstance(behavior, CarouselLoop):
-        return _CarouselRun(behavior)
-    if isinstance(behavior, LoaderRetry):
-        return _LoaderRetryRun(behavior)
-    if isinstance(behavior, OnErrorFallback):
-        return _OnErrorRun(behavior)
-    if isinstance(behavior, XhrPoll):
-        return _XhrPollRun(behavior)
-    raise TypeError(f"unknown behavior {behavior!r}")
+            self.entries[url] = CachedResponse(response.status, response.headers, response.body, now, lifetime)
 
 
 class _PageRun:
-    def __init__(self, transport: Transport, limiter: LimiterRule):
+    def __init__(self, transport: Transport, limiter: LimiterRule, clock: LogicalClock):
         self.transport = transport
         self.limiter = limiter
+        self.clock = clock
         self.browser_cache = BrowserCacheModel()
         self.events: list[ClientEvent] = []
         self.network_statuses: dict[str, list[int]] = {}
         self.last_network_response: dict[str, Response] = {}
 
-    def fetch(self, url: str, t: float) -> Response:
-        """One logical resource fetch, following redirects."""
+    def fetch(self, url: str) -> Response:
+        """One logical resource fetch at the clock's time, following redirects."""
+        t = self.clock.now()
         response = self._request_once(url, t)
         for _ in range(_MAX_REDIRECTS):
             if response.status not in (301, 302, 303, 307, 308):
@@ -336,23 +301,28 @@ def run_page(
     clock: LogicalClock | None = None,
     limiter: LimiterRule = LimiterRule(),
 ) -> list[ClientEvent]:
-    """Simulate the page for its duration; returns the complete event log."""
+    """Simulate the page for its duration; returns the complete event log.
+
+    A behavior with period p fires for the k-th time on the first tick at or
+    after k*p, so sub-tick periods fire several times in one tick.
+    """
     clock = clock or LogicalClock()
-    page = _PageRun(transport, limiter)
-    runs = [_make_run(b) for b in spec.behaviors]
+    page = _PageRun(transport, limiter, clock)
+    runs = [(b.period, b.run(page.fetch)) for b in spec.behaviors]
+    fired = [0] * len(runs)
 
     clock.set(0.0)
     for url in spec.essential_resources:
-        page.fetch(url, 0.0)
+        page.fetch(url)
 
     ticks = int(round(spec.duration / TICK))
     for tick in range(1, ticks + 1):
         t = tick * TICK
         clock.set(t)
-        for run in runs:
-            while run.next_due() <= t + _EPS:
-                run.fire(page, t)
-                run.fired += 1
+        for i, (period, run) in enumerate(runs):
+            while (fired[i] + 1) * period <= t + _EPS:
+                next(run)
+                fired[i] += 1
     return page.events
 
 
@@ -517,34 +487,6 @@ def builtin_scenario(name: str) -> tuple[PageSpec, str]:
 # ---------------------------------------------------------------------------
 # Scenario spec file format (same key=value family as the proxy config).
 # ---------------------------------------------------------------------------
-
-
-def spec_to_text(spec: PageSpec) -> str:
-    items: dict[str, str] = {"name": spec.name, "duration": repr(spec.duration)}
-    for i, url in enumerate(spec.essential_resources):
-        items[f"essential.{i}"] = url
-    for i, b in enumerate(spec.behaviors):
-        p = f"behavior.{i}"
-        if isinstance(b, CarouselLoop):
-            items[f"{p}.type"] = "carousel_loop"
-            items[f"{p}.period"] = repr(b.period)
-            for j, url in enumerate(b.urls):
-                items[f"{p}.urls.{j}"] = url
-        elif isinstance(b, LoaderRetry):
-            items[f"{p}.type"] = "loader_retry"
-            items[f"{p}.template"] = b.url_template
-            items[f"{p}.count"] = str(b.count)
-            items[f"{p}.cycle_period"] = repr(b.cycle_period)
-        elif isinstance(b, OnErrorFallback):
-            items[f"{p}.type"] = "onerror_fallback"
-            items[f"{p}.primary"] = b.primary
-            items[f"{p}.fallback"] = b.fallback_template
-            items[f"{p}.retry_period"] = repr(b.retry_period)
-        elif isinstance(b, XhrPoll):
-            items[f"{p}.type"] = "xhr_poll"
-            items[f"{p}.url"] = b.url
-            items[f"{p}.interval"] = repr(b.interval)
-    return configtext.format_config_text(items)
 
 
 def spec_from_text(text: str) -> PageSpec:

@@ -27,7 +27,7 @@ from replay_shield.configtext import parse_config_text
 from replay_shield.proxy import CONFIG_KEYS, InjectionMode, ProxyConfig, ReverseProxy, proxy_config_from_text
 from replay_shield.upstream import UpstreamSimulator, parse_manifest_text
 from replay_shield.wire import http_fetch, serve_handler
-from replay_shield.workload import builtin_scenario, spec_to_text
+from replay_shield.workload import builtin_scenario
 
 
 def reproduce_pair(scenario: str, duration: float | None = None):
@@ -136,7 +136,14 @@ class TestRunExperiment:
         from replay_shield.configtext import ConfigError
 
         spec_file = tmp_path / "x.spec"
-        spec_file.write_text(spec_to_text(builtin_scenario("mre")[0]))
+        spec_file.write_text(
+            "name = mre\n"
+            "duration = 60\n"
+            "essential.0 = http://archive.test/wayback/20210915120000/http://mre.example/MREcarousel.html\n"
+            "behavior.0.type = carousel_loop\n"
+            "behavior.0.period = 0.5\n"
+            "behavior.0.urls.0 = http://archive.test/wayback/20210915120000im_/http://mre.example/img/photo1.jpg\n"
+        )
         with pytest.raises(ConfigError):
             run_experiment(ExperimentSpec(scenario=str(spec_file)))
 

@@ -58,6 +58,24 @@ class TestHandleRequest:
         assert second.header("X-Cache") == "HIT"
         assert len(upstream.calls) == 1
 
+    def test_hit_carries_age_since_store(self):
+        proxy = ReverseProxy(ProxyConfig(), FakeUpstream(missing={MISSING}))
+        miss = proxy.handle_request(get(MISSING), now=0.0)
+        assert miss.header("Age") is None
+        hit = proxy.handle_request(get(MISSING), now=7.5)
+        assert (hit.header("X-Cache"), hit.header("Age")) == ("HIT", "7")
+
+    def test_hit_replaces_stored_age_and_marker(self):
+        def upstream(request):
+            return Response(404, (("Age", "100"), ("X-Cache", "HIT from elsewhere")), b"")
+
+        proxy = ReverseProxy(ProxyConfig(), upstream)
+        proxy.handle_request(get(MISSING), now=0.0)
+        hit = proxy.handle_request(get(MISSING), now=3.0)
+        names = [name.lower() for name, _ in hit.headers]
+        assert (names.count("age"), names.count("x-cache")) == (1, 1)
+        assert (hit.header("Age"), hit.header("X-Cache")) == ("3", "HIT")
+
     def test_injection_off_caching_off_all_hit_upstream(self):
         upstream = FakeUpstream(missing={MISSING})
         cfg = ProxyConfig(

@@ -195,6 +195,14 @@ class TestManifest:
         assert store.exact(_key("http://a.pt/x"), "20090628044051").body == b"second"
         assert any("duplicate" in r.message for r in caplog.records)
 
+    def test_insert_reports_replacement(self):
+        store = store_with_loader0()
+        again = MementoRecord(parse_urir(LOADER_URL), LOADER_TS, 404, "", b"")
+        later = MementoRecord(parse_urir(LOADER_URL), "20100101000000", 200, "image/png", b"")
+        assert store.insert(again) is True
+        assert store.insert(later) is False
+        assert len(store.records) == 2
+
     def test_body_from_file(self, tmp_path):
         (tmp_path / "body.bin").write_bytes(b"\x00\x01file")
         manifest = tmp_path / "store.manifest"

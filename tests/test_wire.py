@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import itertools
+import logging
 
 import pytest
 
@@ -139,6 +140,50 @@ class TestProxyOverSockets:
                 finally:
                     conn.close()
 
+    def test_hit_carries_one_age_and_miss_none(self):
+        sim = make_sim()
+        with serve_handler(sim.serve) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                host, port = front.address.split(":")
+                conn = http.client.HTTPConnection(host, int(port), timeout=5)
+                try:
+                    for marker, ages in (("MISS", 0), ("HIT", 1)):
+                        conn.request("GET", "/wayback/20090628044051im_/http://site.pt/gone.png")
+                        raw = conn.getresponse()
+                        raw.read()
+                        assert raw.getheader("X-Cache") == marker
+                        names = [name.lower() for name, _ in raw.getheaders()]
+                        assert names.count("age") == ages, (marker, names)
+                    assert raw.getheader("Age").isdigit()
+                finally:
+                    conn.close()
+
+    def test_handler_exception_logged_and_answered_500(self, caplog):
+        def app(request, now):
+            if request.url.endswith("/boom"):
+                raise RuntimeError("handler bug")
+            return Response(200, (), b"ok")
+
+        with serve_handler(app) as handle:
+            host, port = handle.address.split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=5)
+            try:
+                with caplog.at_level(logging.ERROR, logger="replay_shield.wire"):
+                    conn.request("GET", "/boom")
+                    raw = conn.getresponse()
+                    assert (raw.status, raw.read()) == (500, b"internal error")
+                sock = conn.sock
+                conn.request("GET", "/fine")
+                raw = conn.getresponse()
+                assert (raw.status, raw.read()) == (200, b"ok")
+                assert conn.sock is sock  # the connection kept working
+            finally:
+                conn.close()
+        (record,) = [r for r in caplog.records if r.name == "replay_shield.wire"]
+        assert "/boom" in record.getMessage()
+        assert record.exc_info is not None and record.exc_info[0] is RuntimeError
+        assert "RuntimeError: handler bug" in caplog.text
     def test_metrics_endpoint_over_wire(self):
         sim = make_sim()
         with serve_handler(sim.serve) as upstream:

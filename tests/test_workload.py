@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from replay_shield.cache import CachePolicy
@@ -26,7 +28,6 @@ from replay_shield.workload import (
     read_events_csv,
     run_page,
     spec_from_text,
-    spec_to_text,
     write_events_csv,
 )
 
@@ -115,8 +116,10 @@ class TestRunPageSchedules:
             (LoaderRetry(url_template="http://a/img-#", count=3, cycle_period=1.0),),
             duration=3.0,
         )
-        run_page(spec, transport)
+        events = run_page(spec, transport)
         assert calls.count("http://a/img-0") == 1
+        # not even asked of the memory cache again
+        assert [e.url for e in events].count("http://a/img-0") == 1
         assert calls.count("http://a/img-1") == 3
         assert calls.count("http://a/img-2") == 3
 
@@ -192,22 +195,22 @@ class TestTransportFailures:
 
 class TestBrowserCacheDecide:
     def test_200_cached_for_session(self):
-        assert browser_cache_decide("u", Response(200, (), b"ok")) == float("inf")
+        assert browser_cache_decide(Response(200, (), b"ok")) == float("inf")
 
     def test_404_without_header_not_cached(self):
-        assert browser_cache_decide("u", Response(404, (), b"")) is None
+        assert browser_cache_decide(Response(404, (), b"")) is None
 
     def test_404_with_public_max_age_cached(self):
         r = Response(404, (("Cache-Control", "public, max-age=600"),), b"")
-        assert browser_cache_decide("u", r) == 600.0
+        assert browser_cache_decide(r) == 600.0
 
     def test_no_store_never_cached(self):
         r = Response(200, (("Cache-Control", "no-store"),), b"")
-        assert browser_cache_decide("u", r) is None
+        assert browser_cache_decide(r) is None
 
     def test_max_age_zero_not_cached(self):
         r = Response(404, (("Cache-Control", "max-age=0"),), b"")
-        assert browser_cache_decide("u", r) is None
+        assert browser_cache_decide(r) is None
 
     def test_model_expiry(self):
         model = BrowserCacheModel()
@@ -285,11 +288,56 @@ class TestScenarios:
             builtin_scenario("nope")
 
 
+ALL_BEHAVIORS_TEXT = """
+# one behavior of each type
+name = all_four
+duration = 30
+essential.0 = http://a.test/page
+essential.1 = http://a.test/app.js
+behavior.0.type = carousel_loop
+behavior.0.period = 0.5
+behavior.0.urls.0 = http://a.test/img1.jpg
+behavior.0.urls.1 = http://a.test/img2.jpg
+behavior.1.type = loader_retry
+behavior.1.template = http://a.test/loader-#.png
+behavior.1.count = 4
+behavior.1.cycle_period = 1.5
+behavior.2.type = onerror_fallback
+behavior.2.primary = http://a.test/cover.jpg
+behavior.2.fallback = http://a.test/resize?img=#
+behavior.2.retry_period = 2
+behavior.3.type = xhr_poll
+behavior.3.url = http://a.test/feed
+behavior.3.interval = 5
+"""
+
+
 class TestSpecSerialization:
-    @pytest.mark.parametrize("name", ["mre", "carousel12", "onerror_playlist", "feed_poll"])
-    def test_round_trip(self, name):
-        spec, _ = builtin_scenario(name)
-        assert spec_from_text(spec_to_text(spec)) == spec
+    def test_all_behavior_types(self):
+        assert spec_from_text(ALL_BEHAVIORS_TEXT) == PageSpec(
+            name="all_four",
+            essential_resources=("http://a.test/page", "http://a.test/app.js"),
+            behaviors=(
+                CarouselLoop(urls=("http://a.test/img1.jpg", "http://a.test/img2.jpg"), period=0.5),
+                LoaderRetry(url_template="http://a.test/loader-#.png", count=4, cycle_period=1.5),
+                OnErrorFallback(
+                    primary="http://a.test/cover.jpg", fallback_template="http://a.test/resize?img=#", retry_period=2.0
+                ),
+                XhrPoll(url="http://a.test/feed", interval=5.0),
+            ),
+            duration=30.0,
+        )
+
+    def test_readme_scenario_spec_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Scenario spec files use", 1)[1].split("```", 2)[1]
+        feed = "http://archive.test/wayback/20210901092756/http://f.test/feed"
+        assert spec_from_text(block) == PageSpec(
+            name="busted_feed",
+            essential_resources=("http://archive.test/wayback/20210901092756/http://f.test/",),
+            behaviors=(XhrPoll(url=feed, interval=5.0),),
+            duration=60.0,
+        )
 
     def test_bad_spec_text(self):
         from replay_shield.configtext import ConfigError
