@@ -162,7 +162,7 @@ def build_report(entries: Sequence, min_repeats: int = 3, rules: FuzzyRuleSet = 
         cumulative=tuple(cumulative),
         avg_per_minute=total * 60.0 / duration,
         burst_prefix=(burst_requests, float(burst_seconds)),
-        recurring=tuple(detect_recurring(entries, min_repeats, rules)),
+        recurring=tuple(_clusters(triples, min_repeats, rules)),
     )
 
 
@@ -171,7 +171,10 @@ def detect_recurring(
 ) -> list[RecurringCluster]:
     """Group requests by fuzzy-reduced URL; clusters of at least `min_repeats`
     come back largest first, ties broken by earliest first appearance."""
-    triples = _normalize(entries)
+    return _clusters(_normalize(entries), min_repeats, rules)
+
+
+def _clusters(triples: list[tuple[float, str, int]], min_repeats: int, rules: FuzzyRuleSet) -> list[RecurringCluster]:
     grouped: dict[str, list[tuple[float, int]]] = {}
     for t, url, status in triples:
         grouped.setdefault(fuzzy_key_of(url, rules), []).append((t, status))

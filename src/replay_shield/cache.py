@@ -1,8 +1,9 @@
 """Shared response cache with Cache-Control freshness semantics and negative (404) caching.
 
 Time never comes from a wall clock here; every operation takes `now` so runs
-are reproducible. An entry stored at t with lifetime L is fresh for queries in
-[t, t+L) and stale from t+L on, which makes max-age=0 mean "never fresh".
+are reproducible. A response stored at t with lifetime L that arrived with
+`Age: a` is fresh for queries in [t, t+L-a) and stale from t+L-a on, which
+makes max-age=0 mean "never fresh".
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .httpmsg import Response
 from .urls import EMPTY_RULES, FuzzyRuleSet, fuzzy_key_of
@@ -64,12 +66,14 @@ class KeyMode(str, Enum):
 # fuzzy keys drop cache-buster parameters: long all-digit values
 FUZZY_RULES = FuzzyRuleSet(strip_numeric_only_params=True)
 
+# captures and negative (404) answers; redirects and errors are always refetched
+CACHEABLE_STATUSES = frozenset({200, 404})
+
 
 @dataclass(frozen=True)
 class CachePolicy:
-    """What may be cached and for how long."""
+    """How long responses are kept, how they are keyed and how many fit."""
 
-    cacheable_statuses: frozenset[int] = frozenset({200, 404})
     default_max_age: int = 600
     key_mode: KeyMode = KeyMode.EXACT
     capacity: int = 10_000
@@ -81,8 +85,7 @@ class CachePolicy:
             raise ValueError("default_max_age must be >= 0")
 
 
-@dataclass(frozen=True)
-class CacheKey:
+class CacheKey(NamedTuple):
     method: str
     key: str
 
@@ -100,7 +103,7 @@ class CachedResponse:
     status: int
     headers: tuple[tuple[str, str], ...]
     body: bytes
-    stored_at: float
+    stored_at: float  # arrival time minus the Age the response arrived with
     freshness_lifetime: float
 
     def is_fresh(self, now: float) -> bool:
@@ -108,6 +111,16 @@ class CachedResponse:
 
     def to_response(self) -> Response:
         return Response(self.status, self.headers, self.body)
+
+
+def cache_entry(response: Response, now: float, freshness_lifetime: float) -> CachedResponse:
+    """`response`, received at `now`, as an entry that is fresh for
+    `freshness_lifetime` seconds from its generation. The Age it arrived with
+    (RFC 9111 section 4.2.3; missing or malformed counts as 0) is already spent,
+    so the entry is dated that many seconds before `now`."""
+    age = (response.header("Age") or "").strip()
+    arrival_age = int(age) if age.isascii() and age.isdigit() else 0
+    return CachedResponse(response.status, response.headers, response.body, now - arrival_age, freshness_lifetime)
 
 
 class LookupState(Enum):
@@ -144,7 +157,7 @@ class ResponseCache:
 
     def __init__(self, policy: CachePolicy):
         self.policy = policy
-        self._entries: OrderedDict[tuple[str, str], CachedResponse] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, CachedResponse] = OrderedDict()
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -152,12 +165,11 @@ class ResponseCache:
             return len(self._entries)
 
     def lookup(self, key: CacheKey, now: float) -> LookupResult:
-        k = (key.method, key.key)
         with self._lock:
-            entry = self._entries.get(k)
+            entry = self._entries.get(key)
             if entry is None:
                 return LookupResult(LookupState.MISS)
-            self._entries.move_to_end(k)
+            self._entries.move_to_end(key)
             state = LookupState.FRESH if entry.is_fresh(now) else LookupState.STALE
             return LookupResult(state, entry)
 
@@ -166,20 +178,13 @@ class ResponseCache:
             return StoreOutcome.REJECTED_NO_STORE
         if key.method != "GET":
             return StoreOutcome.REJECTED_METHOD
-        if response.status not in self.policy.cacheable_statuses:
+        if response.status not in CACHEABLE_STATUSES:
             return StoreOutcome.REJECTED_STATUS
         max_age = self.policy.default_max_age if directives.max_age is None else directives.max_age
-        entry = CachedResponse(
-            status=response.status,
-            headers=response.headers,
-            body=response.body,
-            stored_at=now,
-            freshness_lifetime=float(max_age),
-        )
-        k = (key.method, key.key)
+        entry = cache_entry(response, now, float(max_age))
         with self._lock:
-            self._entries[k] = entry
-            self._entries.move_to_end(k)
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
             while len(self._entries) > self.policy.capacity:
                 self._entries.popitem(last=False)
         return StoreOutcome.STORED

@@ -322,7 +322,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="proxy config file (fallback: $" + CONFIG_ENV_VAR + ")")
     parser.add_argument("--output", default="out", help="output directory (default: ./out)")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_workload_flags(p):
@@ -368,10 +367,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    if args.verbose:
-        import logging
-
-        logging.basicConfig(level=logging.DEBUG, format="%(name)s: %(message)s")
     try:
         return args.fn(args)
     except (ConfigError, UnknownScenario, ManifestParseError, HarParseError, ValueError) as exc:

@@ -29,7 +29,7 @@ from .cache import (
 from .configtext import ConfigError
 from .httpmsg import Request, Response, text_response
 
-DEFAULT_INJECTION_HEADER = "public, max-age=600"
+INJECTION_HEADER = "public, max-age=600"
 METRICS_PATH = "/__metrics"
 
 
@@ -46,22 +46,21 @@ class InjectionMode(str, Enum):
 
 @dataclass(frozen=True)
 class InjectionConfig:
-    header_value: str = DEFAULT_INJECTION_HEADER
     mode: InjectionMode = InjectionMode.ALWAYS
 
 
 @dataclass(frozen=True)
 class ThrottleConfig:
-    """The proxy's limiter for patch-style endpoints: requests whose path starts
-    with one of matched_path_prefixes go through a SlidingWindowThrottle."""
+    """The proxy's limiter for the archive's patch endpoint: requests whose path
+    starts with PATCH_PATH_PREFIX go through a SlidingWindowThrottle."""
 
     enabled: bool = False
-    window_seconds: float = 30.0
-    matched_path_prefixes: tuple[str, ...] = ("/save/_embed/",)
 
-    def __post_init__(self):
-        if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be > 0")
+
+# the archive's live-web patch endpoint, and how long a target's repeat patch
+# attempts are answered 429; the proxy and the simulated archive share both
+PATCH_PATH_PREFIX = "/save/_embed/"
+PATCH_THROTTLE_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,11 @@ class SlidingWindowThrottle:
             last_allowed[key] = now
             last_allowed.move_to_end(key)
             return ThrottleDecision(True)
+
+
+def throttled_response(decision: ThrottleDecision) -> Response:
+    """The 429 for a denied request, with Retry-After in whole seconds, at least 1."""
+    return Response(429, (("Retry-After", str(max(1, math.ceil(decision.retry_after)))),))
 
 
 @dataclass(frozen=True)
@@ -151,14 +155,9 @@ class ProxyConfig:
     throttle: ThrottleConfig = field(default_factory=ThrottleConfig)
     proxy_caching_enabled: bool = True
 
-    def __post_init__(self):
-        d = parse_cache_control(self.injection.header_value)
-        if d.public and d.private:
-            raise ConfigError("injection header must not be both public and private")
-
 
 def inject_cache_control(response: Response, injection: InjectionConfig) -> Response:
-    """Apply the configured Cache-Control header; status and body are untouched."""
+    """Set Cache-Control to INJECTION_HEADER as the mode says; status and body are untouched."""
     mode = injection.mode
     if mode is InjectionMode.OFF:
         return response
@@ -166,7 +165,7 @@ def inject_cache_control(response: Response, injection: InjectionConfig) -> Resp
         return response
     if mode is InjectionMode.STATUS_404_ONLY and response.status != 404:
         return response
-    return response.with_header("Cache-Control", injection.header_value)
+    return response.with_header("Cache-Control", INJECTION_HEADER)
 
 
 class _Flight:
@@ -191,9 +190,9 @@ class ReverseProxy:
         self.config = config
         self.upstream = upstream
         self.cache = ResponseCache(config.policy)
-        self.throttle = SlidingWindowThrottle(config.throttle.window_seconds)
+        self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
         self._metrics = _MetricsCounter()
-        self._inflight: dict[tuple[str, str], _Flight] = {}
+        self._inflight: dict[CacheKey, _Flight] = {}
         self._inflight_guard = threading.Lock()
 
     def metrics_snapshot(self) -> ProxyMetrics:
@@ -207,15 +206,11 @@ class ReverseProxy:
             # malformed requests never enter the counted pipeline
             return text_response(400, "bad request").with_header("X-Cache", "MISS")
 
-        throttle = self.config.throttle
-        if throttle.enabled and parts.path.startswith(throttle.matched_path_prefixes):
+        if self.config.throttle.enabled and parts.path.startswith(PATCH_PATH_PREFIX):
             decision = self.throttle.check(request.url, now)
             if not decision.allowed:
                 self._metrics.count(429, throttled=1)
-                return Response(
-                    429,
-                    (("Retry-After", str(max(1, math.ceil(decision.retry_after)))), ("X-Cache", "MISS")),
-                )
+                return throttled_response(decision).with_header("X-Cache", "MISS")
 
         if not (self.config.proxy_caching_enabled and request.method == "GET"):
             return self._fetch(request, None, now)
@@ -227,11 +222,10 @@ class ReverseProxy:
         # Single flight: the first request to miss a key fetches it; the others
         # wait for it, then find the stored response. The key's entry lives only
         # while requests for it are in flight.
-        k = (key.method, key.key)
         with self._inflight_guard:
-            flight = self._inflight.get(k)
+            flight = self._inflight.get(key)
             if flight is None:
-                flight = self._inflight[k] = _Flight()
+                flight = self._inflight[key] = _Flight()
             flight.requests += 1
         try:
             with flight.lock:
@@ -243,7 +237,7 @@ class ReverseProxy:
             with self._inflight_guard:
                 flight.requests -= 1
                 if not flight.requests:
-                    del self._inflight[k]
+                    del self._inflight[key]
 
     def _hit(self, entry: CachedResponse, now: float) -> Response:
         """The stored response as served from cache: with its Age (RFC 9111
@@ -269,60 +263,43 @@ class ReverseProxy:
 
 
 CONFIG_KEYS = frozenset({
-    "listen", "upstream", "injection.mode", "injection.header",
-    "cache.enabled", "cache.statuses", "cache.max_age", "cache.key_mode",
-    "cache.capacity", "throttle.enabled", "throttle.window_seconds",
-    "throttle.prefixes",
+    "listen", "upstream", "injection.mode", "cache.enabled", "cache.max_age",
+    "cache.key_mode", "cache.capacity", "throttle.enabled",
 })
 
 
 def proxy_config_from_text(text: str) -> ProxyConfig:
-    """Build a ProxyConfig from `key = value` config text; any key outside
-    CONFIG_KEYS is an error."""
+    """Build a ProxyConfig from `key = value` config text; a key left out keeps
+    ProxyConfig's default, and any key outside CONFIG_KEYS is an error."""
     items = configtext.parse_config_text(text)
     unknown = set(items) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+    def read(key, parse, default):
+        return parse(items[key], key) if key in items else default
+
     defaults = ProxyConfig()
     try:
-        injection = InjectionConfig(
-            header_value=items.get("injection.header", DEFAULT_INJECTION_HEADER),
-            mode=InjectionMode(items.get("injection.mode", "always")),
-        )
+        mode = InjectionMode(items.get("injection.mode", defaults.injection.mode))
     except ValueError as exc:
         raise ConfigError(f"injection.mode: {exc}") from None
     try:
-        key_mode = KeyMode(items.get("cache.key_mode", "exact"))
+        key_mode = KeyMode(items.get("cache.key_mode", defaults.policy.key_mode))
     except ValueError:
         raise ConfigError("cache.key_mode: expected one of exact/canonical/fuzzy") from None
-
-    statuses = frozenset(
-        configtext.parse_int(s.strip(), "cache.statuses")
-        for s in items.get("cache.statuses", "200,404").split(",")
-        if s.strip()
-    )
     try:
-        policy = CachePolicy(
-            cacheable_statuses=statuses,
-            default_max_age=configtext.parse_int(items.get("cache.max_age", "600"), "cache.max_age"),
-            key_mode=key_mode,
-            capacity=configtext.parse_int(items.get("cache.capacity", "10000"), "cache.capacity"),
-        )
-        throttle = ThrottleConfig(
-            enabled=configtext.parse_bool(items.get("throttle.enabled", "false"), "throttle.enabled"),
-            window_seconds=configtext.parse_float(items.get("throttle.window_seconds", "30"), "throttle.window_seconds"),
-            matched_path_prefixes=tuple(
-                p.strip() for p in items.get("throttle.prefixes", "/save/_embed/").split(",") if p.strip()
-            ),
-        )
         return ProxyConfig(
             listen_address=items.get("listen", defaults.listen_address),
             upstream_address=items.get("upstream", defaults.upstream_address),
-            policy=policy,
-            injection=injection,
-            throttle=throttle,
-            proxy_caching_enabled=configtext.parse_bool(items.get("cache.enabled", "true"), "cache.enabled"),
+            policy=CachePolicy(
+                default_max_age=read("cache.max_age", configtext.parse_int, defaults.policy.default_max_age),
+                key_mode=key_mode,
+                capacity=read("cache.capacity", configtext.parse_int, defaults.policy.capacity),
+            ),
+            injection=InjectionConfig(mode),
+            throttle=ThrottleConfig(read("throttle.enabled", configtext.parse_bool, defaults.throttle.enabled)),
+            proxy_caching_enabled=read("cache.enabled", configtext.parse_bool, defaults.proxy_caching_enabled),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -18,7 +18,7 @@ from email.utils import format_datetime
 from pathlib import Path
 
 from .httpmsg import Request, Response, text_response
-from .proxy import SlidingWindowThrottle
+from .proxy import PATCH_PATH_PREFIX, PATCH_THROTTLE_SECONDS, SlidingWindowThrottle, throttled_response
 from .urls import (
     UriR,
     UrlError,
@@ -34,11 +34,6 @@ NOT_FOUND_BODY = b"<!doctype html><html><body><h1>404 Not Found</h1><p>capture n
 
 # logical time 0 of a simulation run, used to mint timestamps for patched captures
 DEFAULT_EPOCH = datetime(2021, 9, 1, 0, 0, 0, tzinfo=timezone.utc)
-
-# patch mode: where misses are redirected, and how long a target's repeat
-# patch attempts are answered 429
-PATCH_PATH_PREFIX = "/save/_embed/"
-PATCH_THROTTLE_SECONDS = 30.0
 
 
 class ManifestParseError(ValueError):
@@ -191,7 +186,7 @@ class UpstreamSimulator:
         key = canonicalize(target)
         decision = self.throttle.check(key, now)
         if not decision.allowed:
-            return Response(429, (("Retry-After", str(max(1, math.ceil(decision.retry_after)))),))
+            return throttled_response(decision)
         live = self.store.live_web.get(key)
         if live is None or live[0] != 200:
             return text_response(404, "target not on the live web")

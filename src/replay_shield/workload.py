@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 from urllib.parse import urljoin
 
 from . import configtext
-from .cache import CachedResponse, parse_cache_control
+from .cache import CachedResponse, cache_entry, parse_cache_control
 from .configtext import ConfigError
 from .httpmsg import Request, Response
 
@@ -245,7 +245,7 @@ class BrowserCacheModel:
     def offer(self, url: str, response: Response, now: float) -> None:
         lifetime = browser_cache_decide(response)
         if lifetime is not None:
-            self.entries[url] = CachedResponse(response.status, response.headers, response.body, now, lifetime)
+            self.entries[url] = cache_entry(response, now, lifetime)
 
 
 class _PageRun:

@@ -108,9 +108,17 @@ class TestStore:
         assert out is StoreOutcome.REJECTED_METHOD
 
     def test_status_not_cacheable(self):
-        cache = ResponseCache(CachePolicy(cacheable_statuses=frozenset({404})))
-        out = cache.store(key("u"), Response(200, (), b"ok"), NO_DIRECTIVES, now=0.0)
+        cache = ResponseCache(CachePolicy())
+        out = cache.store(key("u"), Response(429, (("Retry-After", "20"),), b""), NO_DIRECTIVES, now=0.0)
         assert out is StoreOutcome.REJECTED_STATUS
+        assert cache.lookup(key("u"), now=0.0).state is LookupState.MISS
+
+    def test_arrival_age_dates_the_entry(self):
+        cache = ResponseCache(CachePolicy())
+        for age, stored_at in (("100", -90.0), (" 7 ", 3.0), (None, 10.0), ("abc", 10.0), ("-5", 10.0), ("1.5", 10.0)):
+            headers = () if age is None else (("Age", age),)
+            cache.store(key("u"), Response(404, headers, b""), NO_DIRECTIVES, now=10.0)
+            assert cache.lookup(key("u"), now=10.0).entry.stored_at == stored_at, age
 
     def test_default_lifetime_without_directives(self):
         cache = ResponseCache(CachePolicy(default_max_age=120))

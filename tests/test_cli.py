@@ -371,10 +371,18 @@ class TestProxyConfigKeys:
         proxy_config_from_text(block)  # the documented file is a valid config
 
     def test_serve_proxy_rejects_coalesce_key(self, tmp_path, capsys):
+        # and every other key whose setting became a constant
         conf = tmp_path / "proxy.conf"
-        conf.write_text("coalesce = true\n")
-        assert main(["--config", str(conf), "serve", "proxy"]) == EXIT_CONFIG
-        assert "unknown config keys" in capsys.readouterr().err
+        for line in (
+            "coalesce = true",
+            "injection.header = public, max-age=600",
+            "cache.statuses = 200,404",
+            "throttle.window_seconds = 30",
+            "throttle.prefixes = /save/_embed/",
+        ):
+            conf.write_text(line + "\n")
+            assert main(["--config", str(conf), "serve", "proxy"]) == EXIT_CONFIG, line
+            assert "unknown config keys" in capsys.readouterr().err, line
 
 
 class _YieldingStdout(io.StringIO):

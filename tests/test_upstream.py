@@ -6,7 +6,8 @@ import logging
 
 import pytest
 
-from replay_shield.httpmsg import Request
+from replay_shield.httpmsg import Request, Response
+from replay_shield.proxy import ProxyConfig, ReverseProxy, ThrottleConfig
 from replay_shield.upstream import (
     ManifestParseError,
     MementoRecord,
@@ -132,6 +133,18 @@ class TestPatch:
         assert sim.patch("http://x.pt/a.jpg", now=0.0).status == 404
         assert sim.patch("http://x.pt/a.jpg", now=10.0).status == 429
         assert sim.patch("http://x.pt/a.jpg", now=31.0).status == 404
+
+    def test_proxy_and_archive_429_carry_the_same_retry_after(self):
+        sim = UpstreamSimulator(MementoStore(), patch=PatchConfig(enabled=True))
+        proxy = ReverseProxy(ProxyConfig(throttle=ThrottleConfig(enabled=True)), lambda request: Response(404))
+        request = get("http://archive.test/save/_embed/http://x.pt/a.jpg")
+        assert sim.serve(request, now=0.0).status == proxy.handle_request(request, now=0.0).status == 404
+        retry_after = []
+        for now in (1.0, 10.5, 29.9):
+            denied = (sim.serve(request, now), proxy.handle_request(request, now))
+            assert [r.status for r in denied] == [429, 429]
+            retry_after.append([r.header("Retry-After") for r in denied])
+        assert retry_after == [["29", "29"], ["20", "20"], ["1", "1"]]
 
     def test_serve_routes_save_embed_to_patch(self):
         sim = UpstreamSimulator(self.live_store(), patch=PatchConfig(enabled=True))

@@ -219,6 +219,13 @@ class TestBrowserCacheDecide:
         assert model.fresh_response("u", now=9.9) is not None
         assert model.fresh_response("u", now=10.0) is None
 
+    def test_model_counts_arrival_age(self):
+        model = BrowserCacheModel()
+        r = Response(404, (("Cache-Control", "public, max-age=600"), ("Age", "599"), ("X-Cache", "HIT")), b"")
+        model.offer("u", r, now=50.0)
+        assert model.fresh_response("u", now=50.9) is not None
+        assert model.fresh_response("u", now=51.0) is None
+
 
 class TestLimiter:
     def test_three_prior_404s_suppresses(self):
