@@ -138,6 +138,7 @@ class LookupResult:
 class StoreOutcome(Enum):
     STORED = "stored"
     REJECTED_NO_STORE = "no_store"
+    REJECTED_PRIVATE = "private"
     REJECTED_METHOD = "method_not_cacheable"
     REJECTED_STATUS = "status_not_cacheable"
 
@@ -176,12 +177,16 @@ class ResponseCache:
     def store(self, key: CacheKey, response: Response, directives: CacheControlDirectives, now: float) -> StoreOutcome:
         if directives.no_store:
             return StoreOutcome.REJECTED_NO_STORE
+        # a shared cache must not store a response meant for one user (RFC 9111 section 3.5)
+        if directives.private:
+            return StoreOutcome.REJECTED_PRIVATE
         if key.method != "GET":
             return StoreOutcome.REJECTED_METHOD
         if response.status not in CACHEABLE_STATUSES:
             return StoreOutcome.REJECTED_STATUS
         max_age = self.policy.default_max_age if directives.max_age is None else directives.max_age
-        entry = cache_entry(response, now, float(max_age))
+        # no-cache: stored, but never fresh, so each request goes to the origin (section 5.2.2.4)
+        entry = cache_entry(response, now, 0.0 if directives.no_cache else float(max_age))
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from urllib.parse import urlsplit
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,13 @@ def _get_header(headers: tuple[tuple[str, str], ...], name: str) -> str | None:
         if n.lower() == wanted:
             return v
     return None
+
+
+def origin_form(url: str) -> str:
+    """The request target as sent on the wire: path plus query, host stripped."""
+    parts = urlsplit(url)
+    path = parts.path or "/"
+    return f"{path}?{parts.query}" if parts.query else path
 
 
 def text_response(status: int, text: str, content_type: str = "text/plain") -> Response:

@@ -27,7 +27,8 @@ from .cache import (
     parse_cache_control,
 )
 from .configtext import ConfigError
-from .httpmsg import Request, Response, text_response
+from .httpmsg import Request, Response, origin_form, text_response
+from .urls import fuzzy_key_of
 
 INJECTION_HEADER = "public, max-age=600"
 METRICS_PATH = "/__metrics"
@@ -51,8 +52,8 @@ class InjectionConfig:
 
 @dataclass(frozen=True)
 class ThrottleConfig:
-    """The proxy's limiter for the archive's patch endpoint: requests whose path
-    starts with PATCH_PATH_PREFIX go through a SlidingWindowThrottle."""
+    """The proxy's limiter for the archive's patch endpoint: requests that name a
+    patch_target go through a SlidingWindowThrottle keyed on that target."""
 
     enabled: bool = False
 
@@ -61,6 +62,13 @@ class ThrottleConfig:
 # attempts are answered 429; the proxy and the simulated archive share both
 PATCH_PATH_PREFIX = "/save/_embed/"
 PATCH_THROTTLE_SECONDS = 30.0
+
+
+def patch_target(url: str) -> str | None:
+    """The URL a request to the patch endpoint asks the archive to save, or
+    None when `url` is not such a request."""
+    path = origin_form(url)
+    return path[len(PATCH_PATH_PREFIX):] if path.startswith(PATCH_PATH_PREFIX) else None
 
 
 @dataclass(frozen=True)
@@ -206,8 +214,10 @@ class ReverseProxy:
             # malformed requests never enter the counted pipeline
             return text_response(400, "bad request").with_header("X-Cache", "MISS")
 
-        if self.config.throttle.enabled and parts.path.startswith(PATCH_PATH_PREFIX):
-            decision = self.throttle.check(request.url, now)
+        target = patch_target(request.url) if self.config.throttle.enabled else None
+        if target is not None:
+            # keyed as the archive keys its own patch throttle: on the canonical target
+            decision = self.throttle.check(fuzzy_key_of(target), now)
             if not decision.allowed:
                 self._metrics.count(429, throttled=1)
                 return throttled_response(decision).with_header("X-Cache", "MISS")

@@ -10,15 +10,14 @@ throttling on repeat attempts. No outbound network calls ever happen; the
 from __future__ import annotations
 
 import logging
-import math
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
 
-from .httpmsg import Request, Response, text_response
-from .proxy import PATCH_PATH_PREFIX, PATCH_THROTTLE_SECONDS, SlidingWindowThrottle, throttled_response
+from .httpmsg import Request, Response, origin_form, text_response
+from .proxy import PATCH_PATH_PREFIX, PATCH_THROTTLE_SECONDS, SlidingWindowThrottle, patch_target, throttled_response
 from .urls import (
     UriR,
     UrlError,
@@ -57,33 +56,25 @@ class MementoRecord:
 
 @dataclass
 class MementoStore:
-    """Archive holdings plus the simulated live web used by patch mode."""
+    """Archive holdings, keyed by canonical target and then by timestamp14, plus
+    the simulated live web used by patch mode."""
 
-    records: dict[tuple[str, str], MementoRecord] = field(default_factory=dict)
+    records: dict[str, dict[str, MementoRecord]] = field(default_factory=dict)
     live_web: dict[str, tuple[int, str, bytes]] = field(default_factory=dict)
 
     def insert(self, record: MementoRecord) -> bool:
         """Store `record`; True when it replaced one for the same target and timestamp."""
-        key = (canonicalize(record.target), record.timestamp14)
-        replaced = key in self.records
-        self.records[key] = record
+        captures = self.records.setdefault(canonicalize(record.target), {})
+        replaced = record.timestamp14 in captures
+        captures[record.timestamp14] = record
         return replaced
 
-    def exact(self, key: str, timestamp14: str) -> MementoRecord | None:
-        return self.records.get((key, timestamp14))
-
     def nearest_capture(self, key: str, timestamp14: str) -> MementoRecord | None:
-        """Closest-in-time 200-status record for the target, if any."""
+        """Closest-in-time 200-status capture of the target, the first stored
+        winning a tie; None when the target has no 200 capture."""
         wanted = _ts_seconds(timestamp14)
-        best: MementoRecord | None = None
-        best_gap = math.inf
-        for (k, ts), record in self.records.items():
-            if k != key or record.status != 200:
-                continue
-            gap = abs(_ts_seconds(ts) - wanted)
-            if gap < best_gap:
-                best, best_gap = record, gap
-        return best
+        captures = (r for r in self.records.get(key, {}).values() if r.status == 200)
+        return min(captures, key=lambda r: abs(_ts_seconds(r.timestamp14) - wanted), default=None)
 
 
 @dataclass(frozen=True)
@@ -132,38 +123,33 @@ class UpstreamSimulator:
         with self._count_lock:
             self._status_counts[status] = self._status_counts.get(status, 0) + 1
 
-    def __call__(self, request: Request, now: float = 0.0) -> Response:
-        return self.serve(request, now)
-
     def serve(self, request: Request, now: float) -> Response:
         response = self._dispatch(request, now)
         self._count(response.status)
         return response
 
     def _dispatch(self, request: Request, now: float) -> Response:
-        path_and_query = _path_and_query(request.url)
-        if self.patch_config.enabled and path_and_query.startswith(PATCH_PATH_PREFIX):
-            return self._patch(path_and_query[len(PATCH_PATH_PREFIX):], now)
+        target_url = patch_target(request.url) if self.patch_config.enabled else None
+        if target_url is not None:
+            return self._patch(target_url, now)
 
         try:
-            prefix, ts, modifier, remainder = split_at_timestamp(path_and_query)
+            prefix, ts, modifier, remainder = split_at_timestamp(origin_form(request.url))
             target = parse_urir(remainder)
         except UrlError:
             return Response(404, (("Content-Type", "text/html"),), NOT_FOUND_BODY)
 
-        key = canonicalize(target)
-        record = self.store.exact(key, ts)
-        if record is not None and record.status == 200:
+        # the nearest 200 capture at no distance is the exact one
+        nearest = self.store.nearest_capture(canonicalize(target), ts)
+        if nearest is not None and nearest.timestamp14 == ts:
             return Response(
                 200,
                 (
-                    ("Content-Type", record.content_type),
-                    ("Memento-Datetime", record.memento_datetime),
+                    ("Content-Type", nearest.content_type),
+                    ("Memento-Datetime", nearest.memento_datetime),
                 ),
-                record.body,
+                nearest.body,
             )
-
-        nearest = self.store.nearest_capture(key, ts)
         if nearest is not None:
             location = f"{prefix}/{nearest.timestamp14}{modifier}/{remainder}"
             return Response(302, (("Location", location),))
@@ -201,15 +187,6 @@ class UpstreamSimulator:
             )
         )
         return text_response(200, f"archived {target_url}")
-
-
-def _path_and_query(url: str) -> str:
-    """Origin-form request target: path plus query, host stripped if present."""
-    if url.startswith(("http://", "https://")):
-        rest = url.split("://", 1)[1]
-        slash = rest.find("/")
-        return rest[slash:] if slash >= 0 else "/"
-    return url
 
 
 def parse_manifest_text(text: str, base_dir: Path | None = None) -> MementoStore:

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import http.client
 import logging
+import socket
+import struct
 import threading
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
-from urllib.parse import urlsplit
 
-from .httpmsg import Request, Response
+from .httpmsg import Request, Response, origin_form
 from .proxy import UpstreamUnreachable
 
 Handler = Callable[[Request, float], Response]
@@ -28,6 +29,10 @@ _log = logging.getLogger(__name__)
 # How often serve_forever checks for shutdown; close() waits up to this long,
 # so serve_forever's own default of 0.5 s would add half a second per listener.
 _SHUTDOWN_POLL_SECONDS = 0.05
+
+# A connection that sends no request for this long is closed, so an idle
+# keep-alive client cannot hold a handler thread forever.
+IDLE_TIMEOUT_SECONDS = 60.0
 
 # A server keeps its most recent request log lines for inspection; the full log
 # goes to the echo sink.
@@ -45,12 +50,6 @@ def split_hostport(address: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise ValueError(f"expected host:port, got {address!r}")
     return host, int(port)
-
-
-def origin_form(url: str) -> str:
-    parts = urlsplit(url)
-    path = parts.path or "/"
-    return f"{path}?{parts.query}" if parts.query else path
 
 
 def http_fetch(address: str, request: Request, timeout: float = 10.0) -> Response:
@@ -102,6 +101,15 @@ class _WireHandler(BaseHTTPRequestHandler):
     # body waits for a keep-alive client's delayed ACK of the head (~40 ms).
     disable_nagle_algorithm = True
     server: _WireServer
+
+    def setup(self):
+        super().setup()
+        # A kernel receive timeout: the wait for a request ends in an empty read,
+        # which closes the connection. The stdlib `timeout` attribute would poll
+        # before every send and recv instead, a cost paid on each request.
+        seconds, fraction = divmod(IDLE_TIMEOUT_SECONDS, 1)
+        timeval = struct.pack("ll", int(seconds), int(fraction * 1_000_000))
+        self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
 
     def do_GET(self):
         self._run("GET")

@@ -1,6 +1,7 @@
 """Smoke runs of the benchmark: short traced and untraced runs of one socket
-workload and of the lab finish correct, with no failed operation, and report
-every metric BENCHMARK.json declares for their mode. No speed is asserted.
+workload and of the lab, and a traced run of the miss workload, finish correct,
+with no failed operation, and report every metric BENCHMARK.json declares for
+their mode. No speed is asserted.
 
 A traced run wraps names under src/ that bench/tracing.py looks up, so a
 rename that breaks one fails here rather than only in the benchmark.
@@ -19,8 +20,14 @@ ROOT = Path(__file__).resolve().parents[1]
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("trace, section", [(0, "end_to_end"), (1, "per_layer")])
-@pytest.mark.parametrize("workload", ["reproduce_lab", "recurring_404"])
+@pytest.mark.parametrize("workload, trace, section", [
+    ("reproduce_lab", 0, "end_to_end"),
+    ("reproduce_lab", 1, "per_layer"),
+    ("recurring_404", 0, "end_to_end"),
+    ("recurring_404", 1, "per_layer"),
+    # checks every redirect against the oracle's own nearest-capture search
+    ("unique_misses", 1, "per_layer"),
+])
 def test_run_is_correct_and_reports_every_metric(workload, trace, section):
     argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
             "--seed", "1", "--seconds", "1", "--trace", str(trace)]

@@ -103,6 +103,20 @@ class TestHandleRequest:
             assert r.header("Cache-Control") is None
         assert len(upstream.calls) == 5
 
+    @pytest.mark.parametrize("cache_control, stored", [("private, max-age=60", 0), ("no-cache, max-age=60", 1)])
+    def test_shared_cache_never_serves_private_or_no_cache(self, cache_control, stored):
+        calls = []
+
+        def upstream(request):
+            calls.append(request.url)
+            return Response(200, (("Cache-Control", cache_control),), b"for one user")
+
+        proxy = ReverseProxy(ProxyConfig(injection=InjectionConfig(InjectionMode.MISSING_ONLY)), upstream)
+        markers = [proxy.handle_request(get("http://a/b"), now=float(t)).header("X-Cache") for t in (0, 1)]
+        assert markers == ["MISS", "MISS"]
+        assert len(calls) == 2
+        assert len(proxy.cache) == stored
+
     def test_save_embed_throttled_second_request(self):
         upstream = FakeUpstream()
         cfg = ProxyConfig(throttle=ThrottleConfig(enabled=True))

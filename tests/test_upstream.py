@@ -72,6 +72,23 @@ class TestServe:
         assert r.status == 302
         assert r.header("Location") == f"/wayback/{LOADER_TS}im_/{LOADER_URL}"
 
+    def test_equidistant_captures_first_stored_wins(self):
+        store = MementoStore()
+        for ts, body in (("20090628050000", b"later"), ("20090628040000", b"earlier")):
+            store.insert(MementoRecord(parse_urir(LOADER_URL), ts, 200, "image/png", body))
+        sim = UpstreamSimulator(store)
+        r = sim.serve(get(f"http://archive.test/wayback/20090628043000im_/{LOADER_URL}"), now=0.0)
+        assert r.status == 302
+        assert r.header("Location") == f"/wayback/20090628050000im_/{LOADER_URL}"
+
+    def test_exact_non_200_record_redirects_to_nearest_capture(self):
+        store = store_with_loader0()
+        store.insert(MementoRecord(parse_urir(LOADER_URL), "20100101000000", 404, "text/html", b"recorded miss"))
+        sim = UpstreamSimulator(store)
+        r = sim.serve(get(f"http://archive.test/wayback/20100101000000im_/{LOADER_URL}"), now=0.0)
+        assert r.status == 302
+        assert r.header("Location") == f"/wayback/{LOADER_TS}im_/{LOADER_URL}"
+
     def test_unparsable_path_is_404(self):
         sim = UpstreamSimulator(store_with_loader0())
         assert sim.serve(get("http://archive.test/whatever"), now=0.0).status == 404
@@ -146,6 +163,20 @@ class TestPatch:
             retry_after.append([r.header("Retry-After") for r in denied])
         assert retry_after == [["29", "29"], ["20", "20"], ["1", "1"]]
 
+    def test_proxy_throttles_a_respelled_patch_target_as_the_archive_would(self):
+        sim = UpstreamSimulator(MementoStore(), patch=PatchConfig(enabled=True))
+        clock = [0.0]
+        proxy = ReverseProxy(ProxyConfig(throttle=ThrottleConfig(enabled=True)), lambda r: sim.serve(r, clock[0]))
+        first = proxy.handle_request(get("http://archive.test/save/_embed/http://x.pt/a.jpg"), clock[0])
+        assert first.status == 404
+        clock[0] = 5.0
+        again = proxy.handle_request(get("http://archive.test/save/_embed/http://x.pt:80/a.jpg"), clock[0])
+        assert again.status == 429
+        assert again.header("Retry-After") == "25"
+        metrics = proxy.metrics_snapshot()
+        assert (metrics.throttled_429, metrics.upstream_requests) == (1, 1)
+        assert sim.status_counts() == {404: 1}
+
     def test_serve_routes_save_embed_to_patch(self):
         sim = UpstreamSimulator(self.live_store(), patch=PatchConfig(enabled=True))
         r = sim.serve(get("http://a.test/save/_embed/http://x.pt/img.jpg"), now=0.0)
@@ -165,9 +196,7 @@ class TestManifest:
         store = parse_manifest_text(MANIFEST)
         assert len(store.records) == 2
         assert len(store.live_web) == 1
-        rec = store.exact(
-            _key("http://www.radiocomercial.iol.pt/styles/slideshow/loader-0.png"), "20090628044051"
-        )
+        rec = store.records[_key("http://www.radiocomercial.iol.pt/styles/slideshow/loader-0.png")]["20090628044051"]
         assert rec.body == b"png0"
 
     def test_twelve_missing_loaders_serve_404(self):
@@ -205,7 +234,7 @@ class TestManifest:
         with caplog.at_level(logging.WARNING):
             store = parse_manifest_text(text)
         assert len(store.records) == 1
-        assert store.exact(_key("http://a.pt/x"), "20090628044051").body == b"second"
+        assert store.records[_key("http://a.pt/x")]["20090628044051"].body == b"second"
         assert any("duplicate" in r.message for r in caplog.records)
 
     def test_insert_reports_replacement(self):
@@ -214,14 +243,15 @@ class TestManifest:
         later = MementoRecord(parse_urir(LOADER_URL), "20100101000000", 200, "image/png", b"")
         assert store.insert(again) is True
         assert store.insert(later) is False
-        assert len(store.records) == 2
+        (captures,) = store.records.values()
+        assert len(captures) == 2
 
     def test_body_from_file(self, tmp_path):
         (tmp_path / "body.bin").write_bytes(b"\x00\x01file")
         manifest = tmp_path / "store.manifest"
         manifest.write_text("20090628044051\t200\tapplication/octet-stream\thttp://a.pt/x\tbody.bin\n")
         store = load_store_from_manifest(manifest)
-        assert store.exact(_key("http://a.pt/x"), "20090628044051").body == b"\x00\x01file"
+        assert store.records[_key("http://a.pt/x")]["20090628044051"].body == b"\x00\x01file"
 
 
 def _key(url: str) -> str:

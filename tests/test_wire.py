@@ -5,9 +5,12 @@ from __future__ import annotations
 import http.client
 import itertools
 import logging
+import socket
+import time
 
 import pytest
 
+from replay_shield import wire
 from replay_shield.cache import CachePolicy
 from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import ProxyConfig, ReverseProxy, ThrottleConfig, UpstreamUnreachable
@@ -63,6 +66,32 @@ class TestServer:
                 raw = conn.getresponse()
                 assert raw.status == 200
                 assert raw.read() == b""
+            finally:
+                conn.close()
+
+    def test_idle_connection_closed_after_timeout(self, monkeypatch):
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT_SECONDS", 0.3)
+        with serve_handler(make_sim().serve) as handle:
+            host, port = handle.address.split(":")
+            with socket.create_connection((host, int(port)), timeout=5) as idle:
+                start = time.monotonic()
+                assert idle.recv(1) == b""  # the server closed it
+                assert 0.25 <= time.monotonic() - start < 5
+
+    def test_busy_keep_alive_connection_outlives_timeout(self, monkeypatch):
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT_SECONDS", 0.3)
+        with serve_handler(make_sim().serve) as handle:
+            host, port = handle.address.split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=5)
+            try:
+                conn.connect()
+                sock = conn.sock
+                for _ in range(6):  # 0.6 s in all, each gap shorter than the timeout
+                    time.sleep(0.1)
+                    conn.request("GET", "/wayback/20090628044051im_/http://site.pt/ok.png")
+                    raw = conn.getresponse()
+                    assert (raw.status, raw.read()) == (200, b"pngbytes")
+                assert conn.sock is sock
             finally:
                 conn.close()
 
