@@ -1,8 +1,8 @@
 """Request-log analysis: per-second rates, cumulative series, recurring-URL clusters.
 
-Consumes HAR files (the `log.entries[]` subset below) or workload event logs.
-All metrics are relative: absolute HAR timestamps are rebased to t=0 at the
-first entry. A one-second duration floor keeps single-event logs divisible.
+Consumes workload event logs; HAR files (the `log.entries[]` subset below) are
+read as network events, with absolute timestamps rebased to t=0 at the first
+entry. A one-second duration floor keeps single-event logs divisible.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
 from .urls import EMPTY_RULES, FuzzyRuleSet, fuzzy_key_of
+from .workload import ClientEvent, EventSource
 
 # initial-burst rule: leading seconds whose request count exceeds this multiple
 # of the whole-run mean rate
@@ -24,14 +25,6 @@ BURST_RATE_FACTOR = 2.0
 
 class HarParseError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class HarEntry:
-    started_at: datetime
-    method: str
-    url: str
-    status: int
 
 
 @dataclass(frozen=True)
@@ -63,11 +56,13 @@ class ComparisonSummary:
     after_total: int
 
 
-def parse_har(path: str | Path) -> list[HarEntry]:
-    """Extract (startedDateTime, method, url, status) per entry, time-ordered.
+def parse_har(path: str | Path) -> list[ClientEvent]:
+    """Read each entry as a network event `t` seconds after the earliest
+    startedDateTime, time-ordered.
 
-    Extra fields are ignored; a missing response status becomes 0 so partial
-    captures still analyze. An empty log is an empty list, not an error.
+    Extra fields are ignored; a missing response or status becomes 0 so
+    partial captures still analyze. A time without an offset is read as UTC.
+    An empty log is an empty list, not an error.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -80,43 +75,36 @@ def parse_har(path: str | Path) -> list[HarEntry]:
     if not isinstance(raw_entries, list):
         raise HarParseError("log.entries is not a list")
 
-    entries = []
+    stamped = []
     for i, raw in enumerate(raw_entries):
         try:
             started = _parse_iso8601(raw["startedDateTime"])
             request = raw.get("request", {})
-            method = request.get("method", "GET")
-            url = request["url"]
-        except (TypeError, KeyError, ValueError) as exc:
+            url = request["url"] if isinstance(request, dict) else None
+            if not isinstance(url, str):
+                raise TypeError("request.url is not a string")
+        except (TypeError, KeyError, ValueError, AttributeError) as exc:
             raise HarParseError(f"entry {i}: {exc}") from None
-        status = raw.get("response", {}).get("status", 0)
-        if not isinstance(status, int):
-            status = 0
-        entries.append(HarEntry(started, method, url, status))
-    entries.sort(key=lambda e: e.started_at)
-    return entries
+        response = raw.get("response")
+        status = response.get("status", 0) if isinstance(response, dict) else 0
+        stamped.append((started, url, status if isinstance(status, int) else 0))
+    base = min((started for started, _, _ in stamped), default=None)
+    events = [ClientEvent((started - base).total_seconds(), url, EventSource.NETWORK, status) for started, url, status in stamped]
+    return sorted(events, key=lambda e: e.t)
 
 
 def _parse_iso8601(text: str) -> datetime:
     # Python 3.10 fromisoformat has no Z support
-    return datetime.fromisoformat(text.replace("Z", "+00:00"))
+    started = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    return started if started.tzinfo else started.replace(tzinfo=timezone.utc)
 
 
-def _normalize(entries: Sequence) -> list[tuple[float, str, int]]:
-    """Reduce HarEntry or ClientEvent sequences to (t, url, status) triples."""
-    if not entries:
-        return []
-    first = entries[0]
-    if isinstance(first, HarEntry):
-        base = min(e.started_at for e in entries)
-        triples = [((e.started_at - base).total_seconds(), e.url, e.status) for e in entries]
-    else:
-        triples = [(e.t, e.url, e.status) for e in entries]
-    triples.sort(key=lambda x: x[0])
-    return triples
+def _normalize(events: Sequence[ClientEvent]) -> list[tuple[float, str, int]]:
+    """(t, url, status) per event, in time order; ties keep their input order."""
+    return sorted(((e.t, e.url, e.status) for e in events), key=lambda x: x[0])
 
 
-def build_report(entries: Sequence, min_repeats: int = 3, rules: FuzzyRuleSet = EMPTY_RULES) -> TrafficReport:
+def build_report(entries: Sequence[ClientEvent], min_repeats: int = 3, rules: FuzzyRuleSet = EMPTY_RULES) -> TrafficReport:
     """Compute every report field from a request log; `rules` key the recurring clusters.
 
     The burst prefix is the run of leading seconds whose per-second count stays
@@ -167,7 +155,7 @@ def build_report(entries: Sequence, min_repeats: int = 3, rules: FuzzyRuleSet = 
 
 
 def detect_recurring(
-    entries: Sequence, min_repeats: int, rules: FuzzyRuleSet = EMPTY_RULES
+    entries: Sequence[ClientEvent], min_repeats: int, rules: FuzzyRuleSet = EMPTY_RULES
 ) -> list[RecurringCluster]:
     """Group requests by fuzzy-reduced URL; clusters of at least `min_repeats`
     come back largest first, ties broken by earliest first appearance."""

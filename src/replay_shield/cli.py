@@ -4,7 +4,8 @@
 scenario against it, and emits the before/after request-rate artifacts
 (series_before.csv / series_after.csv / summary.txt / metrics.txt). The
 default in-process transport is fully deterministic; `--transport live` sends
-the same traffic over loopback sockets instead.
+the same traffic over loopback sockets instead. `run-workload` replays a page
+against a proxy already running at `--base`.
 
 Exit codes: 0 success, 2 configuration/parse error, 3 runtime failure.
 """
@@ -174,27 +175,29 @@ def write_experiment_files(result: ExperimentResult, out_dir: Path, label: str) 
 # ---------------------------------------------------------------------------
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    """The experiment the workload flags describe, shared by reproduce and run-workload."""
-    cache_on = args.cache == "on"
+def _page_spec(args) -> ExperimentSpec:
+    """The page the flags shared by reproduce and run-workload describe."""
     return ExperimentSpec(
         scenario=args.scenario,
-        cache_enabled=cache_on,
-        injection_mode=InjectionMode(args.injection) if cache_on else InjectionMode.OFF,
         duration=args.duration,
-        transport=args.transport,
-        key_mode=KeyMode(args.key_mode),
-        patch_mode=args.patch,
         # without --limiter, --min-repeats sets only the report's cluster threshold
         limiter=LimiterRule(enabled=args.limiter, min_repeats=args.min_repeats if args.limiter else LimiterRule.min_repeats),
-        manifest_path=Path(args.manifest) if args.manifest else None,
         min_repeats=args.min_repeats,
     )
 
 
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.output)
-    spec = _spec_from_args(args)
+    cache_on = args.cache == "on"
+    spec = replace(
+        _page_spec(args),
+        cache_enabled=cache_on,
+        injection_mode=InjectionMode(args.injection) if cache_on else InjectionMode.OFF,
+        transport=args.transport,
+        key_mode=KeyMode(args.key_mode),
+        patch_mode=args.patch,
+        manifest_path=Path(args.manifest) if args.manifest else None,
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_chunks: list[str] = []
@@ -228,20 +231,15 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_run_workload(args) -> int:
+    """Replay the page against the live proxy at --base, which has its own
+    cache and archive settings."""
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.base and args.stack_flags:
-        raise ConfigError(f"{args.stack_flags[0]} cannot be used with --base: the proxy at {args.base} has its own settings")
-    spec = _spec_from_args(args)
-    if args.base:
-        # a live proxy elsewhere plays the cache and the archive
-        page, _ = load_scenario(spec)
-        clock = LogicalClock()
-        events = run_page(page, _paced(clock, args.base), clock, spec.limiter)
-        report = build_report([e for e in events if e.source is EventSource.NETWORK], spec.min_repeats)
-    else:
-        result = run_experiment(spec)
-        events, report = result.events, result.client_report
+    spec = _page_spec(args)
+    page, _ = load_scenario(spec)
+    clock = LogicalClock()
+    events = run_page(page, _paced(clock, args.base), clock, spec.limiter)
+    report = build_report([e for e in events if e.source is EventSource.NETWORK], spec.min_repeats)
     write_events_csv(events, out_dir / "events.csv")
     emit_series_csv(report, out_dir / "series.csv")
     print(render_report_text(report), end="")
@@ -305,16 +303,6 @@ def cmd_serve(args) -> int:
         handle.close()
 
 
-class _StackFlag(argparse.Action):
-    """Stores a flag that configures the proxy and archive the workload runs
-    against, and records that it was given, so `run-workload --base` can
-    reject it."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.stack_flags += (self.option_strings[0],)
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="replay-shield",
@@ -324,27 +312,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default="out", help="output directory (default: ./out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_workload_flags(p):
+    def add_page_flags(p):
         p.add_argument("--scenario", required=True, help="builtin scenario name or spec file path")
         p.add_argument("--duration", type=float, default=None, help="override run duration (seconds)")
-        p.add_argument("--cache", choices=("on", "off"), default="on", action=_StackFlag)
-        p.add_argument("--injection", choices=[m.value for m in InjectionMode], default="always", action=_StackFlag)
-        p.add_argument("--key-mode", choices=[m.value for m in KeyMode], default="exact", action=_StackFlag)
-        p.add_argument("--patch", choices=("off", "ia"), default="off", action=_StackFlag)
         p.add_argument("--limiter", action="store_true", help="enable the client-side repeat limiter")
         p.add_argument("--min-repeats", type=int, default=3)
-        p.add_argument("--manifest", help="upstream holdings manifest (required for spec files)", action=_StackFlag)
-        p.add_argument("--transport", choices=("in_process", "live"), default="in_process", action=_StackFlag)
-        p.set_defaults(stack_flags=())
 
     p_rep = sub.add_parser("reproduce", help="run a scenario through the proxy and report rates")
-    add_workload_flags(p_rep)
+    add_page_flags(p_rep)
+    p_rep.add_argument("--cache", choices=("on", "off"), default="on")
+    p_rep.add_argument("--injection", choices=[m.value for m in InjectionMode], default="always")
+    p_rep.add_argument("--key-mode", choices=[m.value for m in KeyMode], default="exact")
+    p_rep.add_argument("--patch", choices=("off", "ia"), default="off")
+    p_rep.add_argument("--manifest", help="upstream holdings manifest (required for spec files)")
+    p_rep.add_argument("--transport", choices=("in_process", "live"), default="in_process")
     p_rep.add_argument("--both", action="store_true", help="run cache-off then cache-on and compare")
     p_rep.set_defaults(fn=cmd_reproduce)
 
-    p_run = sub.add_parser("run-workload", help="replay a page workload and dump its event log")
-    add_workload_flags(p_run)
-    p_run.add_argument("--base", help="live proxy address (host:port); skips the in-process stack")
+    p_run = sub.add_parser("run-workload", help="replay a page workload against a live proxy and dump its event log")
+    add_page_flags(p_run)
+    p_run.add_argument("--base", required=True, help="live proxy address (host:port)")
     p_run.set_defaults(fn=cmd_run_workload)
 
     p_an = sub.add_parser("analyze", help="analyze a HAR file or an events CSV")

@@ -10,10 +10,6 @@ from urllib.parse import urlsplit
 class Request:
     method: str
     url: str
-    headers: tuple[tuple[str, str], ...] = ()
-
-    def header(self, name: str) -> str | None:
-        return _get_header(self.headers, name)
 
 
 @dataclass(frozen=True)
@@ -23,20 +19,16 @@ class Response:
     body: bytes = b""
 
     def header(self, name: str) -> str | None:
-        return _get_header(self.headers, name)
+        wanted = name.lower()
+        for n, v in self.headers:
+            if n.lower() == wanted:
+                return v
+        return None
 
     def with_header(self, name: str, value: str) -> "Response":
         """Return a copy with `name` set to `value`, replacing any existing occurrence."""
         kept = tuple((n, v) for n, v in self.headers if n.lower() != name.lower())
         return replace(self, headers=kept + ((name, value),))
-
-
-def _get_header(headers: tuple[tuple[str, str], ...], name: str) -> str | None:
-    wanted = name.lower()
-    for n, v in headers:
-        if n.lower() == wanted:
-            return v
-    return None
 
 
 def origin_form(url: str) -> str:

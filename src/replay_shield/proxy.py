@@ -165,9 +165,11 @@ class ProxyConfig:
 
 
 def inject_cache_control(response: Response, injection: InjectionConfig) -> Response:
-    """Set Cache-Control to INJECTION_HEADER as the mode says; status and body are untouched."""
+    """Set Cache-Control to INJECTION_HEADER as the mode says; status and body
+    are untouched. A 429 or 5xx is never stamped, so no client keeps a passing
+    throttle or outage as the answer."""
     mode = injection.mode
-    if mode is InjectionMode.OFF:
+    if mode is InjectionMode.OFF or response.status == 429 or response.status >= 500:
         return response
     if mode is InjectionMode.MISSING_ONLY and response.header("Cache-Control") is not None:
         return response

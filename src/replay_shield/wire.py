@@ -121,7 +121,7 @@ class _WireHandler(BaseHTTPRequestHandler):
         now = time.monotonic() - self.server.started
         host = self.headers.get("Host") or "%s:%d" % self.server.server_address
         url = f"http://{host}{self.path}"
-        request = Request(method, url, tuple(self.headers.items()))
+        request = Request(method, url)
         try:
             response = self.server.app(request, now)
         except Exception:  # a handler bug must not kill the connection thread

@@ -287,6 +287,33 @@ class TestParseHar:
         )
         assert len(parse_har_text(text)) == 1
 
+    def test_events_are_network_events_rebased_to_the_earliest_entry(self):
+        entries = parse_har_text(
+            har_text([("2021-09-01T09:28:55.500Z", "http://a/2", 404), ("2021-09-01T09:27:55.000Z", "http://a/1", 200)])
+        )
+        assert entries == [ev(0.0, "http://a/1", 200), ev(60.5, "http://a/2", 404)]
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("request", None), ("request", "http://a/1"), ("request", {"url": 5}), ("startedDateTime", 5)],
+    )
+    def test_malformed_entry_names_the_entry(self, field, value):
+        entries = json.loads(har_text([("2021-09-01T09:27:55.000Z", "http://a/1", 200)] * 2))
+        entries["log"]["entries"][1][field] = value
+        with pytest.raises(HarParseError, match="entry 1"):
+            parse_har_text(json.dumps(entries))
+
+    def test_non_object_response_becomes_status_zero(self):
+        entries = json.loads(har_text([("2021-09-01T09:27:55.000Z", "http://a/1", 200)]))
+        entries["log"]["entries"][0]["response"] = None
+        assert parse_har_text(json.dumps(entries))[0].status == 0
+
+    def test_time_without_offset_is_utc(self):
+        entries = parse_har_text(
+            har_text([("2021-09-01T10:28:55+01:00", "http://a/2", 404), ("2021-09-01T09:27:55", "http://a/1", 404)])
+        )
+        assert [(e.t, e.url) for e in entries] == [(0.0, "http://a/1"), (60.0, "http://a/2")]
+
 
 class TestRenderReport:
     def test_summary_lines(self):

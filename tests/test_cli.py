@@ -243,10 +243,16 @@ class TestCliAnalyze:
         bad.write_text("not json at all")
         assert main(["--output", str(tmp_path), "analyze", str(bad)]) == EXIT_CONFIG
 
+    def test_non_object_request_exit_2(self, tmp_path, capsys):
+        har = tmp_path / "null-request.har"
+        har.write_text(json.dumps({"log": {"entries": [{"startedDateTime": "2021-09-01T09:27:55Z", "request": None}]}}))
+        assert main(["--output", str(tmp_path), "analyze", str(har)]) == EXIT_CONFIG
+        assert "entry 0" in capsys.readouterr().err
+
     def test_events_csv_input(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["--output", str(out), "run-workload", "--scenario", "feed_poll", "--cache", "off"]) == EXIT_OK
-        events_csv = out / "events.csv"
+        assert main(["--output", str(out), "reproduce", "--scenario", "feed_poll", "--cache", "off"]) == EXIT_OK
+        events_csv = out / "events_before.csv"
         assert events_csv.exists()
         assert main(["--output", str(tmp_path), "analyze", str(events_csv)]) == EXIT_OK
         assert "total_requests:" in capsys.readouterr().out
@@ -305,20 +311,20 @@ class TestLiveTransport:
         assert live.upstream_request_count == in_process.upstream_request_count
 
     def test_run_workload_base_matches_in_process(self, tmp_path):
-        argv = ["run-workload", "--scenario", "mre", "--duration", "2"]
-        assert main(["--output", str(tmp_path / "local"), *argv]) == EXIT_OK
+        page = ["--scenario", "mre", "--duration", "2"]
+        assert main(["--output", str(tmp_path / "local"), "reproduce", *page]) == EXIT_OK
         sim = UpstreamSimulator(parse_manifest_text(builtin_scenario("mre")[1]))
         with serve_handler(sim.serve) as upstream:
             proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
             with serve_handler(proxy.handle_request) as front:
-                code = main(["--output", str(tmp_path / "base"), *argv, "--base", front.address])
+                code = main(["--output", str(tmp_path / "base"), "run-workload", *page, "--base", front.address])
         assert code == EXIT_OK
-        local = (tmp_path / "local" / "events.csv").read_text().splitlines()
+        local = (tmp_path / "local" / "events_after.csv").read_text().splitlines()
         assert (tmp_path / "base" / "events.csv").read_text().splitlines() == local
 
 
 class TestWorkloadFlags:
-    def test_run_workload_passes_key_mode_and_transport(self, tmp_path, monkeypatch):
+    def test_reproduce_passes_key_mode_and_transport(self, tmp_path, monkeypatch):
         seen = []
         real = cli.run_experiment
 
@@ -327,7 +333,7 @@ class TestWorkloadFlags:
             return real(replace(spec, transport="in_process"))
 
         monkeypatch.setattr(cli, "run_experiment", capture)
-        argv = ["--output", str(tmp_path), "run-workload", "--scenario", "feed_poll", "--duration", "10",
+        argv = ["--output", str(tmp_path), "reproduce", "--scenario", "feed_poll", "--duration", "10",
                 "--key-mode", "fuzzy", "--transport", "live"]
         assert main(argv) == EXIT_OK
         (spec,) = seen
@@ -353,9 +359,17 @@ class TestWorkloadFlags:
     )
     def test_base_rejects_flags_of_the_remote_stack(self, tmp_path, capsys, flag):
         argv = ["--output", str(tmp_path), "run-workload", "--scenario", "mre", "--base", "127.0.0.1:1", *flag]
-        assert main(argv) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
         assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "events.csv").exists()
+
+    def test_run_workload_needs_base(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(tmp_path), "run-workload", "--scenario", "mre"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--base" in capsys.readouterr().err
 
     def test_min_repeats_one_without_limiter_is_accepted(self, tmp_path):
         argv = ["--output", str(tmp_path), "reproduce", "--scenario", "mre", "--duration", "5", "--min-repeats", "1"]

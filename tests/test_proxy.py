@@ -166,6 +166,14 @@ class TestHandleRequest:
         assert proxy.handle_request(get(MISSING), now=601.0).header("X-Cache") == "HIT"
 
 
+    @pytest.mark.parametrize("mode", [InjectionMode.ALWAYS, InjectionMode.MISSING_ONLY])
+    def test_throttle_and_server_error_are_never_stamped(self, mode):
+        statuses = {"http://a/throttled": 429, "http://a/down": 503, "http://a/missing": 404}
+        proxy = ReverseProxy(ProxyConfig(injection=InjectionConfig(mode)), lambda req: Response(statuses[req.url]))
+        stamped = {url: proxy.handle_request(get(url), now=0.0).header("Cache-Control") for url in statuses}
+        assert stamped == {"http://a/throttled": None, "http://a/down": None, "http://a/missing": "public, max-age=600"}
+
+
 class TestInjectCacheControl:
     def test_always_sets_header_on_404(self):
         out = inject_cache_control(Response(404, (), b""), InjectionConfig())

@@ -193,6 +193,22 @@ class TestTransportFailures:
         assert events[0].source is EventSource.NETWORK
 
 
+class TestThrottledAnswers:
+    def test_relayed_429_is_fetched_again_on_the_next_firing(self):
+        archive_calls = []
+
+        def throttling_archive(request: Request) -> Response:
+            archive_calls.append(request.url)
+            return Response(429, (("Retry-After", "25"),))
+
+        proxy = ReverseProxy(ProxyConfig(), throttling_archive)
+        clock = LogicalClock()
+        spec = PageSpec("poll", (), (XhrPoll("http://a/feed", interval=5.0),), duration=15.0)
+        events = run_page(spec, lambda req: proxy.handle_request(req, clock.now()), clock)
+        assert [(e.source, e.status) for e in events] == [(EventSource.NETWORK, 429)] * 3
+        assert len(archive_calls) == 3
+
+
 class TestBrowserCacheDecide:
     def test_200_cached_for_session(self):
         assert browser_cache_decide(Response(200, (), b"ok")) == float("inf")
