@@ -159,7 +159,7 @@ class ResponseCache:
     def __init__(self, policy: CachePolicy):
         self.policy = policy
         self._entries: OrderedDict[CacheKey, CachedResponse] = OrderedDict()
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:

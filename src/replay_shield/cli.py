@@ -1,11 +1,12 @@
 """Command-line front end: serve, run-workload, analyze, reproduce.
 
-`reproduce` wires the simulated archive behind the caching proxy, replays a
-scenario against it, and emits the before/after request-rate artifacts
-(series_before.csv / series_after.csv / summary.txt / metrics.txt). The
-default in-process transport is fully deterministic; `--transport live` sends
-the same traffic over loopback sockets instead. `run-workload` replays a page
-against a proxy already running at `--base`.
+`reproduce` wires the simulated archive behind the caching proxy in one
+process, replays a scenario against it on a logical clock, and writes the
+cached run's artifacts (series_after.csv / events_after.csv / summary.txt /
+metrics.txt); `--both` runs the uncached stack first and adds the `before`
+files and the comparison. The same experiment on sockets is `serve upstream`,
+`serve proxy` and `run-workload --base`, which replays a page against a proxy
+already running there. `--config` is read only by `serve proxy`.
 
 Exit codes: 0 success, 2 configuration/parse error, 3 runtime failure.
 """
@@ -21,7 +22,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyzer import (
-    HarParseError,
     TrafficReport,
     build_report,
     compare_reports,
@@ -34,16 +34,17 @@ from .cache import CachePolicy, KeyMode
 from .configtext import ConfigError
 from .httpmsg import Request
 from .proxy import (
+    METRICS_PATH,
     InjectionConfig,
     InjectionMode,
     ProxyConfig,
     ProxyMetrics,
     ReverseProxy,
+    UpstreamUnreachable,
     proxy_config_from_text,
     render_metrics,
 )
 from .upstream import (
-    ManifestParseError,
     PatchConfig,
     UpstreamSimulator,
     load_store_from_manifest,
@@ -57,7 +58,6 @@ from .workload import (
     LimiterRule,
     LogicalClock,
     PageSpec,
-    UnknownScenario,
     builtin_scenario,
     read_events_csv,
     run_page,
@@ -78,7 +78,6 @@ class ExperimentSpec:
     cache_enabled: bool = True
     injection_mode: InjectionMode = InjectionMode.ALWAYS
     duration: float | None = None
-    transport: str = "in_process"
     key_mode: KeyMode = KeyMode.EXACT
     patch_mode: str = "off"
     limiter: LimiterRule = LimiterRule()
@@ -125,17 +124,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         proxy_caching_enabled=spec.cache_enabled,
     )
     clock = LogicalClock()
-
-    if spec.transport == "live":
-        # the same pipeline over loopback sockets, paced against the wall clock
-        with serve_handler(sim.serve) as upstream_handle:
-            proxy = ReverseProxy(proxy_cfg, lambda req: http_fetch(upstream_handle.address, req))
-            with serve_handler(proxy.handle_request) as proxy_handle:
-                events = run_page(page, _paced(clock, proxy_handle.address), clock, spec.limiter)
-    else:
-        proxy = ReverseProxy(proxy_cfg, lambda req: sim.serve(req, clock.now()))
-        events = run_page(page, lambda req: proxy.handle_request(req, clock.now()), clock, spec.limiter)
-
+    proxy = ReverseProxy(proxy_cfg, lambda req: sim.serve(req, clock.now()))
+    events = run_page(page, lambda req: proxy.handle_request(req, clock.now()), clock, spec.limiter)
     network = tuple(e for e in events if e.source is EventSource.NETWORK)
     return ExperimentResult(
         client_report=build_report(list(network), min_repeats=spec.min_repeats),
@@ -188,12 +178,9 @@ def _page_spec(args) -> ExperimentSpec:
 
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.output)
-    cache_on = args.cache == "on"
     spec = replace(
         _page_spec(args),
-        cache_enabled=cache_on,
-        injection_mode=InjectionMode(args.injection) if cache_on else InjectionMode.OFF,
-        transport=args.transport,
+        injection_mode=InjectionMode(args.injection),
         key_mode=KeyMode(args.key_mode),
         patch_mode=args.patch,
         manifest_path=Path(args.manifest) if args.manifest else None,
@@ -202,24 +189,18 @@ def cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_chunks: list[str] = []
     if args.both:
-        before = run_experiment(
-            replace(spec, cache_enabled=False, injection_mode=InjectionMode.OFF)
-        )
-        after = run_experiment(
-            replace(spec, cache_enabled=True, injection_mode=InjectionMode(args.injection))
-        )
+        before = run_experiment(replace(spec, cache_enabled=False, injection_mode=InjectionMode.OFF))
+        after = run_experiment(spec)
         write_experiment_files(before, out_dir, "before")
         write_experiment_files(after, out_dir, "after")
-        summary = render_comparison(
-            compare_reports(before.client_report, after.client_report)
-        )
+        summary = render_comparison(compare_reports(before.client_report, after.client_report))
         summary += "\n[before]\n" + render_report_text(before.client_report)
         summary += "\n[after]\n" + render_report_text(after.client_report)
         metrics_chunks.append("[before]\n" + render_metrics(before.proxy_metrics))
         metrics_chunks.append("[after]\n" + render_metrics(after.proxy_metrics))
     else:
         result = run_experiment(spec)
-        write_experiment_files(result, out_dir, "after" if spec.cache_enabled else "before")
+        write_experiment_files(result, out_dir, "after")
         summary = render_report_text(result.client_report)
         summary += f"upstream_requests: {result.upstream_request_count}\n"
         metrics_chunks.append(render_metrics(result.proxy_metrics))
@@ -233,10 +214,15 @@ def cmd_reproduce(args) -> int:
 def cmd_run_workload(args) -> int:
     """Replay the page against the live proxy at --base, which has its own
     cache and archive settings."""
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = _page_spec(args)
     page, _ = load_scenario(spec)
+    try:
+        # the proxy answers its metrics path without counting it
+        http_fetch(args.base, Request("GET", METRICS_PATH))
+    except UpstreamUnreachable as exc:
+        raise ConnectionError(f"no proxy answers at --base {args.base}: {exc}") from exc
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     clock = LogicalClock()
     events = run_page(page, _paced(clock, args.base), clock, spec.limiter)
     report = build_report([e for e in events if e.source is EventSource.NETWORK], spec.min_repeats)
@@ -276,24 +262,25 @@ def _echo_line(line: str) -> None:
         sys.stdout.flush()
 
 
-def cmd_serve(args) -> int:
-    if args.role == "upstream":
-        if not args.manifest:
-            raise ConfigError("serve upstream needs --manifest")
-        store = load_store_from_manifest(args.manifest)
-        sim = UpstreamSimulator(store, patch=PatchConfig(enabled=args.patch == "ia"))
-        handle = serve_handler(sim.serve, listen=args.listen, echo=_echo_line)
-    else:
-        config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-        cfg = proxy_config_from_text(Path(config_path).read_text(encoding="utf-8")) if config_path else ProxyConfig()
-        if args.listen != "127.0.0.1:0":
-            cfg = replace(cfg, listen_address=args.listen)
-        if args.upstream:
-            cfg = replace(cfg, upstream_address=args.upstream)
-        proxy = ReverseProxy(cfg, lambda req: http_fetch(cfg.upstream_address, req))
-        handle = serve_handler(proxy.handle_request, listen=cfg.listen_address, echo=_echo_line)
+def cmd_serve_upstream(args) -> int:
+    store = load_store_from_manifest(args.manifest)
+    sim = UpstreamSimulator(store, patch=PatchConfig(enabled=args.patch == "ia"))
+    return _serve(args.role, serve_handler(sim.serve, listen=args.listen, echo=_echo_line))
 
-    print(f"serving {args.role} on {handle.address}", file=sys.stderr)
+
+def cmd_serve_proxy(args) -> int:
+    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    cfg = proxy_config_from_text(Path(config_path).read_text(encoding="utf-8")) if config_path else ProxyConfig()
+    if args.listen:
+        cfg = replace(cfg, listen_address=args.listen)
+    if args.upstream:
+        cfg = replace(cfg, upstream_address=args.upstream)
+    proxy = ReverseProxy(cfg, lambda req: http_fetch(cfg.upstream_address, req))
+    return _serve(args.role, serve_handler(proxy.handle_request, listen=cfg.listen_address, echo=_echo_line))
+
+
+def _serve(role: str, handle) -> int:
+    print(f"serving {role} on {handle.address}", file=sys.stderr)
     try:
         while True:
             time.sleep(3600)
@@ -308,7 +295,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="replay-shield",
         description="Eliminate and measure recurring 404 traffic against archival replay backends.",
     )
-    parser.add_argument("--config", help="proxy config file (fallback: $" + CONFIG_ENV_VAR + ")")
+    parser.add_argument("--config", help="serve proxy's config file (fallback: $" + CONFIG_ENV_VAR + ")")
     parser.add_argument("--output", default="out", help="output directory (default: ./out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,13 +307,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="run a scenario through the proxy and report rates")
     add_page_flags(p_rep)
-    p_rep.add_argument("--cache", choices=("on", "off"), default="on")
     p_rep.add_argument("--injection", choices=[m.value for m in InjectionMode], default="always")
     p_rep.add_argument("--key-mode", choices=[m.value for m in KeyMode], default="exact")
     p_rep.add_argument("--patch", choices=("off", "ia"), default="off")
     p_rep.add_argument("--manifest", help="upstream holdings manifest (required for spec files)")
-    p_rep.add_argument("--transport", choices=("in_process", "live"), default="in_process")
-    p_rep.add_argument("--both", action="store_true", help="run cache-off then cache-on and compare")
+    p_rep.add_argument("--both", action="store_true", help="run the uncached stack first and compare")
     p_rep.set_defaults(fn=cmd_reproduce)
 
     p_run = sub.add_parser("run-workload", help="replay a page workload against a live proxy and dump its event log")
@@ -342,24 +327,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(fn=cmd_analyze)
 
     p_srv = sub.add_parser("serve", help="run the proxy or the simulated upstream on real sockets")
-    p_srv.add_argument("role", choices=("proxy", "upstream"))
-    p_srv.add_argument("--listen", default="127.0.0.1:0")
-    p_srv.add_argument("--upstream", help="proxy role: upstream host:port")
-    p_srv.add_argument("--manifest", help="upstream role: holdings manifest path")
-    p_srv.add_argument("--patch", choices=("off", "ia"), default="off")
-    p_srv.set_defaults(fn=cmd_serve)
+    roles = p_srv.add_subparsers(dest="role", required=True)
+    p_proxy = roles.add_parser("proxy", help="the caching proxy, configured by --config")
+    p_proxy.add_argument("--listen", help="host:port (default: the config's listen)")
+    p_proxy.add_argument("--upstream", help="upstream host:port (default: the config's upstream)")
+    p_proxy.set_defaults(fn=cmd_serve_proxy)
+    p_up = roles.add_parser("upstream", help="the simulated archive")
+    p_up.add_argument("--manifest", required=True, help="holdings manifest path")
+    p_up.add_argument("--listen", default="127.0.0.1:0", help="host:port (default: a free port)")
+    p_up.add_argument("--patch", choices=("off", "ia"), default="off")
+    p_up.set_defaults(fn=cmd_serve_upstream)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if args.config and args.fn is not cmd_serve_proxy:
+        parser.error("--config is read only by serve proxy")
     try:
         return args.fn(args)
-    except (ConfigError, UnknownScenario, ManifestParseError, HarParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # the parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

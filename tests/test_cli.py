@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import re
+import socket
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from replay_shield import cli
 from replay_shield.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     ExperimentSpec,
     main,
     run_experiment,
@@ -172,7 +174,7 @@ class TestCliReproduce:
 
     def test_single_run_cache_on(self, tmp_path):
         code = main(
-            ["--output", str(tmp_path), "reproduce", "--scenario", "carousel12", "--cache", "on"]
+            ["--output", str(tmp_path), "reproduce", "--scenario", "carousel12"]
         )
         assert code == EXIT_OK
         assert (tmp_path / "series_after.csv").exists()
@@ -251,7 +253,7 @@ class TestCliAnalyze:
 
     def test_events_csv_input(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["--output", str(out), "reproduce", "--scenario", "feed_poll", "--cache", "off"]) == EXIT_OK
+        assert main(["--output", str(out), "reproduce", "--scenario", "feed_poll", "--both"]) == EXIT_OK
         events_csv = out / "events_before.csv"
         assert events_csv.exists()
         assert main(["--output", str(tmp_path), "analyze", str(events_csv)]) == EXIT_OK
@@ -301,14 +303,7 @@ class TestCliEntryPoint:
 
 
 class TestLiveTransport:
-    """The socket paths run on the same logical clock as the in-process one."""
-
-    def test_live_run_matches_in_process(self):
-        spec = ExperimentSpec(scenario="mre", duration=2.0)
-        in_process = run_experiment(spec)
-        live = run_experiment(replace(spec, transport="live"))
-        assert live.events == in_process.events
-        assert live.upstream_request_count == in_process.upstream_request_count
+    """The socket path runs on the same logical clock as the in-process one."""
 
     def test_run_workload_base_matches_in_process(self, tmp_path):
         page = ["--scenario", "mre", "--duration", "2"]
@@ -324,20 +319,48 @@ class TestLiveTransport:
 
 
 class TestWorkloadFlags:
-    def test_reproduce_passes_key_mode_and_transport(self, tmp_path, monkeypatch):
+    def test_reproduce_passes_key_mode(self, tmp_path, monkeypatch):
         seen = []
         real = cli.run_experiment
 
         def capture(spec):
             seen.append(spec)
-            return real(replace(spec, transport="in_process"))
+            return real(spec)
 
         monkeypatch.setattr(cli, "run_experiment", capture)
         argv = ["--output", str(tmp_path), "reproduce", "--scenario", "feed_poll", "--duration", "10",
-                "--key-mode", "fuzzy", "--transport", "live"]
+                "--key-mode", "fuzzy"]
         assert main(argv) == EXIT_OK
         (spec,) = seen
-        assert (spec.key_mode, spec.transport) == (KeyMode.FUZZY, "live")
+        assert spec.key_mode is KeyMode.FUZZY
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["reproduce", "--scenario", "mre", "--transport", "live"], "--transport"),
+            (["reproduce", "--scenario", "mre", "--cache", "off"], "--cache"),
+            (["serve", "proxy", "--patch", "ia"], "--patch"),
+            (["serve", "proxy", "--manifest", "m"], "--manifest"),
+            (["serve", "upstream", "--manifest", "m", "--upstream", "a"], "--upstream"),
+            (["serve", "upstream"], "--manifest"),
+            (["--config", "c", "reproduce", "--scenario", "mre"], "--config"),
+        ],
+    )
+    def test_rejected_command_line_names_its_flag(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(tmp_path), *argv])
+        assert exc.value.code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+
+    def test_run_workload_against_a_closed_port_exits_3(self, tmp_path, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            address = f"127.0.0.1:{sock.getsockname()[1]}"
+        out = tmp_path / "run"
+        code = main(["--output", str(out), "run-workload", "--scenario", "mre", "--duration", "2", "--base", address])
+        assert code == EXIT_RUNTIME
+        assert address in capsys.readouterr().err
+        assert not (out / "events.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -397,6 +420,38 @@ class TestProxyConfigKeys:
             conf.write_text(line + "\n")
             assert main(["--config", str(conf), "serve", "proxy"]) == EXIT_CONFIG, line
             assert "unknown config keys" in capsys.readouterr().err, line
+
+
+def _argparse_flags(parser: argparse.ArgumentParser, command: str = "") -> dict[str, set[str]]:
+    """{command path: the long flags argparse defines on it}; "" is the top level."""
+    flags: dict[str, set[str]] = {command: set()}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags.update(_argparse_flags(sub, f"{command} {name}".strip()))
+        else:
+            flags[command].update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+    return {name: found for name, found in flags.items() if found}
+
+
+def _readme_flags() -> dict[str, set[str]]:
+    """{command path: the flags README's knob list gives it}; "global" is the top level."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Useful knobs, per command.", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- (.*(?:\n  .*)*)", section, re.MULTILINE)
+    listed = {}
+    for item in items:
+        label, _, flags = item.partition(": ")
+        command = "" if label.startswith("global") else label.strip("`")
+        listed[command] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    return listed
+
+
+class TestCliFlags:
+    def test_readme_documents_exactly_the_accepted_flags(self):
+        defined = _argparse_flags(cli.build_arg_parser())
+        assert set(defined) == {"", "reproduce", "run-workload", "analyze", "serve proxy", "serve upstream"}
+        assert _readme_flags() == defined
 
 
 class _YieldingStdout(io.StringIO):
