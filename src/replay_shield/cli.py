@@ -218,9 +218,12 @@ def cmd_run_workload(args) -> int:
     page, _ = load_scenario(spec)
     try:
         # the proxy answers its metrics path without counting it
-        http_fetch(args.base, Request("GET", METRICS_PATH))
+        probe = http_fetch(args.base, Request("GET", METRICS_PATH))
     except UpstreamUnreachable as exc:
         raise ConnectionError(f"no proxy answers at --base {args.base}: {exc}") from exc
+    if probe.status != 200 or not any(line.startswith(b"client_requests ") for line in probe.body.splitlines()):
+        raise ConnectionError(f"--base {args.base} is not a replay-shield proxy: "
+                              f"GET {METRICS_PATH} answered {probe.status} without its metrics")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     clock = LogicalClock()

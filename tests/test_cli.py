@@ -362,6 +362,18 @@ class TestWorkloadFlags:
         assert address in capsys.readouterr().err
         assert not (out / "events.csv").exists()
 
+    def test_run_workload_against_the_upstream_exits_3(self, tmp_path, capsys):
+        sim = UpstreamSimulator(parse_manifest_text(builtin_scenario("mre")[1]))
+        out = tmp_path / "run"
+        with serve_handler(sim.serve) as upstream:
+            argv = ["--output", str(out), "run-workload", "--scenario", "mre", "--duration", "2",
+                    "--base", upstream.address]
+            code = main(argv)
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert upstream.address in err and "not a replay-shield proxy" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -5,7 +5,9 @@ from __future__ import annotations
 import http.client
 import itertools
 import logging
+import re
 import socket
+import threading
 import time
 
 import pytest
@@ -222,6 +224,212 @@ class TestProxyOverSockets:
                 status, _, body = client_get(front.address, "/__metrics")
                 assert status == 200
                 assert b"upstream_requests 1" in body
+
+
+def raw_exchange(address: str, data: bytes) -> bytes:
+    """Send `data` on a new connection and read until the server closes it."""
+    with socket.create_connection(split_hostport(address), timeout=5) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def status_lines(answer: bytes) -> list[bytes]:
+    return re.findall(rb"HTTP/1\.1 \d{3} [^\r]*", answer)
+
+
+class TestRequestGates:
+    """Requests the server will not read are answered once, then the connection closes."""
+
+    @pytest.fixture
+    def server(self):
+        """The listener's address and the requests its app was called with."""
+        seen = []
+        with serve_handler(lambda request, now: seen.append(request) or Response(200, (), b"ok")) as handle:
+            yield handle.address, seen
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", b"414"),
+            (b"GET / HTTP/1.1\r\n" + b"X-Filler: 1\r\n" * 101 + b"\r\n", b"431"),
+            (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", b"431"),
+            (b"GET /\r\n\r\n", b"400"),
+            (b"GET / HTTP/1.1 extra\r\n\r\n", b"400"),
+            (b"GET / HTTX/1.1\r\n\r\n", b"400"),
+            (b"POST / HTTP/1.1\r\nHost: x\r\n\r\n", b"501"),
+            (b"PUT / HTTP/1.1\r\nHost: x\r\n\r\n", b"501"),
+        ],
+        ids=["long-line", "101-fields", "long-field", "two-words", "four-words", "bad-version", "post", "put"],
+    )
+    def test_rejected_request_answered_then_closed(self, server, head, status):
+        address, seen = server
+        # a well-formed second request on the same stream must go unread
+        answer = raw_exchange(address, head + b"GET /next HTTP/1.1\r\nHost: x\r\n\r\n")
+        (line,) = status_lines(answer)
+        assert line.split(b" ")[1] == status
+        assert b"\r\nConnection: close\r\n" in answer
+        assert seen == []
+
+    def test_hundred_header_fields_accepted(self, server):
+        address, seen = server
+        head = b"GET /a HTTP/1.1\r\nConnection: close\r\n" + b"X-Filler: 1\r\n" * 99 + b"\r\n"
+        assert status_lines(raw_exchange(address, head)) == [b"HTTP/1.1 200 OK"]
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("framing", [b"Content-Length: 35", b"Transfer-Encoding: chunked"])
+    def test_request_with_body_answered_then_closed(self, server, framing):
+        address, seen = server
+        smuggled = b"GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n"
+        assert len(smuggled) == 35
+        answer = raw_exchange(address, b"GET /a HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n\r\n" + smuggled)
+        assert status_lines(answer) == [b"HTTP/1.1 200 OK"]
+        assert b"\r\nConnection: close\r\n" in answer
+        assert [request.url for request in seen] == ["http://x/a"]
+
+    def test_empty_body_keeps_the_connection(self, server):
+        address, seen = server
+        head = b"GET /a HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+        answer = raw_exchange(address, head + b"GET /b HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        assert len(status_lines(answer)) == 2
+        assert [request.url for request in seen] == ["http://x/a", "http://x/b"]
+
+    @pytest.mark.parametrize("connection, answers", [(b"", 1), (b"Connection: keep-alive\r\n", 2)])
+    def test_http10_closes_unless_keep_alive(self, server, connection, answers):
+        address, seen = server
+        first = b"GET /a HTTP/1.0\r\nHost: x\r\n" + connection + b"\r\n"
+        answer = raw_exchange(address, first + b"GET /b HTTP/1.0\r\nHost: x\r\n\r\n")
+        assert len(status_lines(answer)) == answers
+        assert len(seen) == answers
+
+    def test_connections_over_the_cap_get_503(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
+        with serve_handler(lambda request, now: Response(200, (), b"ok")) as handle:
+            held = [http.client.HTTPConnection(*split_hostport(handle.address), timeout=5) for _ in range(2)]
+            try:
+                for conn in held:  # each one now occupies a handler thread
+                    conn.request("GET", "/")
+                    assert conn.getresponse().read() == b"ok"
+                answer = raw_exchange(handle.address, b"")
+                assert status_lines(answer) == [b"HTTP/1.1 503 Service Unavailable"]
+                assert b"\r\nConnection: close\r\n" in answer
+            finally:
+                for conn in held:
+                    conn.close()
+            # a closed connection frees its place once its thread sees the close
+            deadline = time.monotonic() + 5
+            while status_lines(raw_exchange(handle.address, b"GET / HTTP/1.0\r\n\r\n")) != [b"HTTP/1.1 200 OK"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+
+class CountedConnects:
+    """Counts http.client connects, as the tracer does."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        connect = http.client.HTTPConnection.connect
+
+        def counted(conn):
+            self.count += 1
+            return connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counted)
+
+
+class TestUpstreamConnection:
+    def test_one_connection_serves_five_misses(self, monkeypatch):
+        connects = CountedConnects(monkeypatch)
+        sim = make_sim()
+        with serve_handler(sim.serve) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                host, port = split_hostport(front.address)
+                conn = http.client.HTTPConnection(host, port, timeout=5)
+                try:
+                    for i in range(5):
+                        conn.request("GET", f"/wayback/20090628044051im_/http://site.pt/{i}.png")
+                        raw = conn.getresponse()
+                        raw.read()
+                        assert raw.getheader("X-Cache") == "MISS"
+                finally:
+                    conn.close()
+        assert sim.request_count == 5
+        assert connects.count == 2  # the client's to the proxy and the proxy's to the upstream
+
+    def test_connection_closed_by_idle_upstream_is_replaced(self, monkeypatch):
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT_SECONDS", 0.3)
+        connects = CountedConnects(monkeypatch)
+        sim = make_sim()
+        with serve_handler(sim.serve) as upstream:
+            path = "/wayback/20090628044051im_/http://site.pt/{}.png"
+            first = http_fetch(upstream.address, Request("GET", path.format("ok")))
+            time.sleep(0.6)  # the upstream closes the kept connection
+            second = http_fetch(upstream.address, Request("GET", path.format("gone")))
+            lines = upstream.log_lines
+        assert (first.status, second.status) == (200, 404)
+        assert [line.split(" ")[3] for line in lines] == ["200", "404"]
+        assert sim.request_count == 2
+        assert connects.count == 2
+
+    def test_a_connection_per_address(self, monkeypatch):
+        connects = CountedConnects(monkeypatch)
+        with serve_handler(make_sim().serve) as one, serve_handler(make_sim().serve) as two:
+            for address in (one.address, one.address, two.address, two.address, one.address):
+                assert http_fetch(address, Request("GET", "/x")).status == 404
+        assert connects.count == 3
+
+    def test_will_close_is_honoured(self, monkeypatch):
+        connects = CountedConnects(monkeypatch)
+        with serve_handler(lambda request, now: Response(200, (("Connection", "close"),), b"ok")) as handle:
+            for _ in range(3):
+                assert http_fetch(handle.address, Request("GET", "/")).body == b"ok"
+        assert connects.count == 3
+
+    def test_upstream_that_stops_answering_gives_one_bounded_502(self, monkeypatch):
+        monkeypatch.setattr(wire, "FETCH_TIMEOUT_SECONDS", 0.3)
+        connects = CountedConnects(monkeypatch)
+        release = threading.Event()
+
+        def app(request, now):
+            if request.url.endswith("/hang"):
+                release.wait(5)
+            return Response(200, (), b"ok")
+
+        with serve_handler(app) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            try:
+                assert proxy.handle_request(Request("GET", "http://a.test/ok"), 0.0).status == 200
+                start = time.monotonic()
+                assert proxy.handle_request(Request("GET", "http://a.test/hang"), 0.0).status == 502
+                assert time.monotonic() - start < 2
+            finally:
+                release.set()
+            lines = upstream.log_lines
+        assert connects.count == 1  # no second try on a new connection
+        assert len([line for line in lines if "/hang" in line]) <= 1
+
+    def test_malformed_upstream_answer_is_a_counted_502(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def answer_garbage():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(b"garbage\r\n\r\n")
+
+            server = threading.Thread(target=answer_garbage, daemon=True)
+            server.start()
+            address = "127.0.0.1:%d" % listener.getsockname()[1]
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(address, req))
+            response = proxy.handle_request(Request("GET", "http://a.test/x"), 0.0)
+            server.join(5)
+        assert not server.is_alive()
+        assert response.status == 502
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.upstream_requests) == (1, 1)
+        assert m.client_requests == m.cache_hits_fresh + m.upstream_requests + m.throttled_429
 
 
 class TestHelpers:
