@@ -164,8 +164,12 @@ def detect_recurring(
 
 def _clusters(triples: list[tuple[float, str, int]], min_repeats: int, rules: FuzzyRuleSet) -> list[RecurringCluster]:
     grouped: dict[str, list[tuple[float, int]]] = {}
+    keys: dict[str, str] = {}  # a log repeats few URLs many times; derive each one's key once
     for t, url, status in triples:
-        grouped.setdefault(fuzzy_key_of(url, rules), []).append((t, status))
+        key = keys.get(url)
+        if key is None:
+            key = keys[url] = fuzzy_key_of(url, rules)
+        grouped.setdefault(key, []).append((t, status))
 
     clusters = []
     for key, hits in grouped.items():

@@ -25,14 +25,16 @@ class CacheControlDirectives:
     no_store: bool = False
     no_cache: bool = False
     max_age: int | None = None
+    s_maxage: int | None = None
 
 
 def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
     """Lenient Cache-Control parse: case-insensitive names, unknown directives
-    ignored, malformed or negative max-age treated as absent. If both public
-    and private appear, private wins."""
+    ignored, malformed or negative max-age and s-maxage treated as absent. If
+    both public and private appear, private wins."""
     public = private = no_store = no_cache = False
     max_age: int | None = None
+    s_maxage: int | None = None
     for token in (header_value or "").split(","):
         name, _, value = token.strip().partition("=")
         name = name.strip().lower()
@@ -45,16 +47,20 @@ def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
             no_store = True
         elif name == "no-cache":
             no_cache = True
-        elif name == "max-age":
+        elif name in ("max-age", "s-maxage"):
             try:
                 parsed = int(value)
             except ValueError:
                 continue
-            if parsed >= 0:
+            if parsed < 0:
+                continue
+            if name == "max-age":
                 max_age = parsed
+            else:
+                s_maxage = parsed
     if private:
         public = False
-    return CacheControlDirectives(public, private, no_store, no_cache, max_age)
+    return CacheControlDirectives(public, private, no_store, no_cache, max_age, s_maxage)
 
 
 class KeyMode(str, Enum):
@@ -184,7 +190,10 @@ class ResponseCache:
             return StoreOutcome.REJECTED_METHOD
         if response.status not in CACHEABLE_STATUSES:
             return StoreOutcome.REJECTED_STATUS
-        max_age = self.policy.default_max_age if directives.max_age is None else directives.max_age
+        # a shared cache takes s-maxage over max-age (RFC 9111 section 5.2.2.10)
+        max_age = directives.max_age if directives.s_maxage is None else directives.s_maxage
+        if max_age is None:
+            max_age = self.policy.default_max_age
         # no-cache: stored, but never fresh, so each request goes to the origin (section 5.2.2.4)
         entry = cache_entry(response, now, 0.0 if directives.no_cache else float(max_age))
         with self._lock:

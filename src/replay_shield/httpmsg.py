@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 
@@ -28,7 +28,7 @@ class Response:
     def with_header(self, name: str, value: str) -> "Response":
         """Return a copy with `name` set to `value`, replacing any existing occurrence."""
         kept = tuple((n, v) for n, v in self.headers if n.lower() != name.lower())
-        return replace(self, headers=kept + ((name, value),))
+        return Response(self.status, kept + ((name, value),), self.body)
 
 
 def origin_form(url: str) -> str:

@@ -224,12 +224,16 @@ class ReverseProxy:
                 self._metrics.count(429, throttled=1)
                 return throttled_response(decision).with_header("X-Cache", "MISS")
 
-        if not (self.config.proxy_caching_enabled and request.method == "GET"):
+        if not self.config.proxy_caching_enabled:
             return self._fetch(request, None, now)
-        key = make_cache_key(request.method, request.url, self.config.policy)
+        # a HEAD is answered from the stored GET (RFC 9110 section 9.3.2); the
+        # wire sends its head alone
+        key = make_cache_key("GET", request.url, self.config.policy)
         found = self.cache.lookup(key, now)
         if found.state is LookupState.FRESH:
             return self._hit(found.entry, now)
+        if request.method == "HEAD":
+            return self._fetch(request, None, now)  # an answer without its body is never stored
 
         # Single flight: the first request to miss a key fetches it; the others
         # wait for it, then find the stored response. The key's entry lives only

@@ -24,6 +24,7 @@ from .urls import (
     canonicalize,
     parse_urir,
     split_at_timestamp,
+    timestamp14_datetime,
     validate_timestamp14,
 )
 
@@ -72,9 +73,11 @@ class MementoStore:
     def nearest_capture(self, key: str, timestamp14: str) -> MementoRecord | None:
         """Closest-in-time 200-status capture of the target, the first stored
         winning a tie; None when the target has no 200 capture."""
+        captures = [r for r in self.records.get(key, {}).values() if r.status == 200]
+        if not captures:
+            return None  # before any timestamp is parsed: most requests in a lab run end here
         wanted = _ts_seconds(timestamp14)
-        captures = (r for r in self.records.get(key, {}).values() if r.status == 200)
-        return min(captures, key=lambda r: abs(_ts_seconds(r.timestamp14) - wanted), default=None)
+        return min(captures, key=lambda r: abs(_ts_seconds(r.timestamp14) - wanted))
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,7 @@ class PatchConfig:
 
 
 def rfc1123_from_timestamp14(ts14: str) -> str:
-    dt = datetime.strptime(ts14, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc)
-    return format_datetime(dt, usegmt=True)
+    return format_datetime(timestamp14_datetime(ts14), usegmt=True)
 
 
 def timestamp14_at(epoch: datetime, now_seconds: float) -> str:
@@ -92,7 +94,7 @@ def timestamp14_at(epoch: datetime, now_seconds: float) -> str:
 
 
 def _ts_seconds(ts14: str) -> float:
-    return datetime.strptime(ts14, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc).timestamp()
+    return timestamp14_datetime(ts14).timestamp()
 
 
 class UpstreamSimulator:

@@ -12,13 +12,21 @@ formatting a parsed URL reproduces the input exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from datetime import datetime
+from dataclasses import dataclass
+from datetime import datetime, timezone
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 # Any two-or-three-letter suffix ending in "_" (im_, js_, cs_, ...) is accepted
 # as an opaque modifier.
 _TS_SEGMENT = re.compile(r"/(\d{14})([a-z]{2,3}_)?/")
+# The grammar datetime.strptime(ts, "%Y%m%d%H%M%S") applies to 14 digits: two
+# digits a field (four for the year), with any Unicode digit where it has \d.
+_TS14_FIELDS = re.compile(r"(\d{4})(1[0-2]|0[1-9])(3[01]|[12]\d|0[1-9])(2[0-3]|[01]\d)([0-5]\d)(6[01]|[0-5]\d)")
+_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
+_ABSOLUTE_URL = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)([^?#]*)(?:\?([^#]*))?(?:#(.*))?$")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+_NAME = itemgetter(0)
 
 
 class UrlError(ValueError):
@@ -118,7 +126,7 @@ def split_query(raw: str) -> tuple[tuple[str, str | None], ...]:
     return tuple(pairs)
 
 
-def format_query(pairs: tuple[tuple[str, str | None], ...]) -> str:
+def format_query(pairs: Iterable[tuple[str, str | None]]) -> str:
     return "&".join(n if v is None else f"{n}={v}" for n, v in pairs)
 
 
@@ -128,7 +136,7 @@ def parse_urir(url: str) -> UriR:
     Scheme and host are lowercased (DNS names are case-insensitive); path,
     query, and fragment bytes are kept exactly as given.
     """
-    m = re.match(r"^([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)([^?#]*)(?:\?([^#]*))?(?:#(.*))?$", url)
+    m = _ABSOLUTE_URL.match(url)
     if not m:
         raise MalformedTarget(f"not an absolute URL: {url!r}")
     scheme = m.group(1).lower()
@@ -165,7 +173,7 @@ def parse_urim(url: str) -> UriM:
     the embedded target, which must itself be an absolute http(s) URL.
     """
     prefix, ts, modifier, target_str = split_at_timestamp(url)
-    if not re.match(r"^[A-Za-z][A-Za-z0-9+.-]*://", url):
+    if not _SCHEME.match(url):
         raise MalformedTarget(f"not an absolute URL: {url!r}")
     return UriM(
         archive_prefix=prefix,
@@ -190,13 +198,25 @@ def split_at_timestamp(path_or_url: str) -> tuple[str, str, str, str]:
     return path_or_url[: m.start()], ts, modifier, path_or_url[m.end():]
 
 
-def validate_timestamp14(ts: str) -> None:
+def timestamp14_datetime(ts: str) -> datetime:
+    """The UTC datetime a 14-digit YYYYMMDDHHMMSS timestamp names.
+
+    Accepts exactly the strings datetime.strptime(ts, "%Y%m%d%H%M%S") accepts
+    among 14-digit ones, and raises InvalidTimestamp where it raises ValueError.
+    """
     if len(ts) != 14 or not ts.isdigit():
         raise InvalidTimestamp(f"timestamp must be 14 digits: {ts!r}")
-    try:
-        datetime.strptime(ts, "%Y%m%d%H%M%S")
-    except ValueError:
-        raise InvalidTimestamp(f"not a calendar datetime: {ts!r}") from None
+    m = _TS14_FIELDS.fullmatch(ts)
+    if m is not None:
+        try:
+            return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
+        except ValueError:  # a day past the month's end, year 0, or second 60 or 61
+            pass
+    raise InvalidTimestamp(f"not a calendar datetime: {ts!r}")
+
+
+def validate_timestamp14(ts: str) -> None:
+    timestamp14_datetime(ts)
 
 
 def format_urim(m: UriM) -> str:
@@ -209,16 +229,12 @@ def canonical_form(u: UriR) -> UriR:
     The sort is stable, so pairs sharing a name keep their original order.
     Idempotent by construction.
     """
-    port = u.port
-    if port is not None and port == _DEFAULT_PORTS.get(u.scheme):
-        port = None
-    return replace(
-        u,
-        port=port,
-        path=u.path or "/",
-        query=tuple(sorted(u.query, key=lambda p: p[0])),
-        fragment=None,
-    )
+    return UriR(u.scheme, u.host, _canonical_port(u), u.path or "/", tuple(sorted(u.query, key=_NAME)))
+
+
+def _canonical_port(u: UriR) -> int | None:
+    """The port a canonical URL names: None for the scheme's default."""
+    return None if u.port == _DEFAULT_PORTS.get(u.scheme) else u.port
 
 
 def canonicalize(u: UriR) -> str:
@@ -226,18 +242,21 @@ def canonicalize(u: UriR) -> str:
 
     Example: http://www.example.org/a?b=2&a=1 -> "org,example,www)/a?a=1&b=2"
     """
-    c = canonical_form(u)
-    rev_host = ",".join(reversed(c.host.split(".")))
-    port_part = f":{c.port}" if c.port is not None else ""
-    query_part = "?" + format_query(c.query) if c.query else ""
-    return f"{rev_host}{port_part}){c.path}{query_part}"
+    return _surt(u, u.query)
+
+
+def _surt(u: UriR, query: Sequence[tuple[str, str | None]]) -> str:
+    """The SURT key of canonical_form(u) with `query` as its query, rendered
+    without building that UriR."""
+    port = _canonical_port(u)
+    port_part = "" if port is None else f":{port}"
+    query_part = "?" + format_query(sorted(query, key=_NAME)) if query else ""
+    return f"{','.join(reversed(u.host.split('.')))}{port_part}){u.path or '/'}{query_part}"
 
 
 def fuzzy_reduce(u: UriR, rules: FuzzyRuleSet = EMPTY_RULES) -> str:
     """Canonical key after deleting volatile query parameters per `rules`."""
-    kept = tuple(p for p in u.query if not rules.strips(p[0], p[1]))
-    # copying the frozen UriR is a large share of a key's cost; skip it when nothing was stripped
-    return canonicalize(u if len(kept) == len(u.query) else replace(u, query=kept))
+    return _surt(u, [p for p in u.query if not rules.strips(p[0], p[1])])
 
 
 def fuzzy_key_of(url: str, rules: FuzzyRuleSet = EMPTY_RULES) -> str:

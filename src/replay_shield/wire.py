@@ -146,6 +146,9 @@ class _WireServer(socketserver.ThreadingTCPServer):
         self.log_lines: deque[str] = deque(maxlen=LOG_LINES_KEPT)
         self._log_lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        # the connections a handler thread is serving, shut down by close_connections()
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
 
     def record(self, line: str) -> None:
         with self._log_lock:
@@ -163,6 +166,8 @@ class _WireServer(socketserver.ThreadingTCPServer):
                 pass
             self.shutdown_request(request)
             return
+        with self._open_lock:
+            self._open.add(request)
         try:
             super().process_request(request, client_address)
         except BaseException:
@@ -174,6 +179,21 @@ class _WireServer(socketserver.ThreadingTCPServer):
             super().process_request_thread(request, client_address)
         finally:
             self._slots.release()
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection: its handler thread reads end of stream,
+        and its client finds the connection closed."""
+        with self._open_lock:
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client closed it already
+                    pass
 
 
 class _WireHandler(socketserver.StreamRequestHandler):
@@ -295,7 +315,10 @@ class ServerHandle:
             return list(self._server.log_lines)
 
     def close(self) -> None:
+        """Stop accepting, then end the open keep-alive connections, so no
+        client is answered by this server's app after close() returns."""
         self._server.shutdown()
+        self._server.close_connections()
         self._thread.join(timeout=5)
         self._server.server_close()
 

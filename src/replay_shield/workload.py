@@ -221,6 +221,7 @@ def browser_cache_decide(response: Response) -> float | None:
 
     Browsers keep 200s in the memory cache for the whole session; error
     responses are kept only when Cache-Control grants them a positive max-age.
+    A browser cache is private, so s-maxage does not apply to it.
     """
     directives = parse_cache_control(response.header("Cache-Control"))
     if directives.no_store:

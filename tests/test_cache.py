@@ -53,6 +53,12 @@ class TestParseCacheControl:
     def test_negative_max_age_dropped(self):
         assert parse_cache_control("max-age=-5").max_age is None
 
+    def test_s_maxage_kept_apart_from_max_age(self):
+        d = parse_cache_control("max-age=600, S-MAXAGE=0")
+        assert (d.max_age, d.s_maxage) == (600, 0)
+        assert parse_cache_control("s-maxage=-1, max-age=5").s_maxage is None
+        assert parse_cache_control('s-maxage="banana"').s_maxage is None
+
     def test_private_beats_public(self):
         d = parse_cache_control("public, private")
         assert d.private is True and d.public is False
@@ -95,6 +101,15 @@ class TestStore:
         out = cache.store(key("miss"), resp404(), parse_cache_control("public, max-age=600"), now=0.0)
         assert out is StoreOutcome.STORED
         assert cache.lookup(key("miss"), now=0.0).entry.freshness_lifetime == 600.0
+
+    @pytest.mark.parametrize(
+        "cache_control, lifetime",
+        [("s-maxage=0, max-age=600", 0.0), ("max-age=0, s-maxage=30", 30.0), ("max-age=30", 30.0), ("", 600.0)],
+    )
+    def test_s_maxage_wins_in_the_shared_cache(self, cache_control, lifetime):
+        cache = ResponseCache(CachePolicy())
+        cache.store(key("u"), resp404(), parse_cache_control(cache_control), now=0.0)
+        assert cache.lookup(key("u"), now=0.0).entry.freshness_lifetime == lifetime
 
     def test_no_store_rejected(self):
         cache = ResponseCache(CachePolicy())

@@ -117,6 +117,20 @@ class TestHandleRequest:
         assert len(calls) == 2
         assert len(proxy.cache) == stored
 
+    @pytest.mark.parametrize(
+        "cache_control, markers", [("s-maxage=0, max-age=600", ["MISS", "MISS"]), ("s-maxage=600, max-age=0", ["MISS", "HIT"])]
+    )
+    def test_shared_cache_takes_s_maxage_over_max_age(self, cache_control, markers):
+        calls = []
+
+        def upstream(request):
+            calls.append(request.url)
+            return Response(404, (("Cache-Control", cache_control),), b"gone")
+
+        proxy = ReverseProxy(ProxyConfig(injection=InjectionConfig(InjectionMode.MISSING_ONLY)), upstream)
+        assert [proxy.handle_request(get(MISSING), now=float(t)).header("X-Cache") for t in (0, 1)] == markers
+        assert len(calls) == markers.count("MISS")
+
     def test_save_embed_throttled_second_request(self):
         upstream = FakeUpstream()
         cfg = ProxyConfig(throttle=ThrottleConfig(enabled=True))
@@ -147,6 +161,36 @@ class TestHandleRequest:
         proxy.handle_request(Request("HEAD", "http://a/b"), now=0.0)
         proxy.handle_request(Request("HEAD", "http://a/b"), now=1.0)
         assert len(upstream.calls) == 2
+
+    def test_head_answered_from_the_stored_get(self):
+        upstream = FakeUpstream(missing={MISSING})
+        proxy = ReverseProxy(ProxyConfig(), upstream)
+        proxy.handle_request(get(MISSING), now=0.0)
+        head = proxy.handle_request(Request("HEAD", MISSING), now=2.0)
+        assert (head.status, head.header("X-Cache"), head.header("Age")) == (404, "HIT", "2")
+        assert head.body == b"gone"  # the wire sends the head alone, with this body's length
+        assert upstream.calls == [MISSING]
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.cache_hits_fresh, m.upstream_requests) == (2, 1, 1)
+        assert m.client_requests == m.cache_hits_fresh + m.upstream_requests + m.throttled_429
+
+    def test_head_miss_forwarded_and_never_stored(self):
+        methods = []
+
+        def upstream(request):
+            methods.append(request.method)
+            return Response(404, (), b"" if request.method == "HEAD" else b"gone")
+
+        proxy = ReverseProxy(ProxyConfig(), upstream)
+        markers = [
+            proxy.handle_request(Request(method, MISSING), now=float(t)).header("X-Cache")
+            for t, method in enumerate(["HEAD", "HEAD", "GET", "HEAD", "GET"])
+        ]
+        assert markers == ["MISS", "MISS", "MISS", "HIT", "HIT"]
+        assert methods == ["HEAD", "HEAD", "GET"]
+        assert proxy.handle_request(get(MISSING), now=9.0).body == b"gone"
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.cache_hits_fresh, m.upstream_requests) == (6, 3, 3)
 
     def test_metrics_endpoint(self):
         proxy = ReverseProxy(ProxyConfig(), FakeUpstream())

@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from datetime import datetime, timezone
 from urllib.parse import urlsplit
 
 import pytest
 
 from replay_shield.urls import (
+    EMPTY_RULES,
     FuzzyRuleSet,
     InvalidTimestamp,
     MalformedTarget,
     NoTimestampSegment,
+    UriR,
     canonical_form,
     canonicalize,
+    format_query,
     format_urim,
     fuzzy_reduce,
     parse_urim,
     parse_urir,
+    timestamp14_datetime,
+    validate_timestamp14,
 )
 
 # Real replay URLs observed in the wild; used as round-trip fixtures.
@@ -223,3 +230,144 @@ class TestProperties:
         for _ in range(300):
             url = random_url(rng)
             assert canonicalize(parse_urir(url)) == oracle_canonical_key(url)
+
+
+def strptime_utc(ts: str) -> datetime | None:
+    """The reference parse: strptime's datetime in UTC, or None where it raises."""
+    try:
+        return datetime.strptime(ts, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc)
+    except ValueError:
+        return None
+
+
+def parse_or_none(ts: str) -> datetime | None:
+    try:
+        parsed = timestamp14_datetime(ts)
+    except InvalidTimestamp:
+        parsed = None
+    try:
+        validate_timestamp14(ts)
+    except InvalidTimestamp:
+        assert parsed is None, ts
+    else:
+        assert parsed is not None, ts
+    return parsed
+
+
+class TestTimestamp14:
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            "20201301000000",  # month 13
+            "20200001000000",  # month 00
+            "20200100000000",  # day 00
+            "20200230000000",  # Feb 30
+            "20200229000000",  # Feb 29 of a leap year
+            "20190229000000",  # Feb 29 of a common year
+            "20200101240000",  # hour 24
+            "20200101006000",  # minute 60
+            "20200101000060",  # second 60
+            "20200101000061",  # second 61
+            "00000101000000",  # year 0000
+            "20201231235959",
+            "00010101000000",
+            "99991231235959",
+            # other Unicode digits: strptime takes them only where its pattern has \d
+            "\u0662\u0660\u0662\u0660\u0660\u0661\u0660\u0661\u0660\u0660\u0660\u0660\u0660\u0660",
+            "\u0662\u0660\u0662\u06600101000000",  # the year
+            "202001010000\u0660\u0665",  # the second's first digit
+            "2020010100000\u0665",  # the second's last digit
+            "20200\u066101000000",  # the month
+            "202001\u0661\u0665000000",  # the day's first digit
+            "2020011\u0665000000",  # the day's last digit
+            "\u00b20200101000000",  # a superscript: a digit, but not a decimal one
+        ],
+    )
+    def test_agrees_with_strptime(self, ts):
+        assert parse_or_none(ts) == strptime_utc(ts)
+
+    def test_agrees_with_strptime_on_a_random_sweep(self):
+        rng = random.Random(1414)
+        accepted = 0
+        for _ in range(4000):
+            fields = (
+                rng.choice([0, 1, 1999, 2000, 2019, 2020, 2100, 9999, rng.randint(0, 9999)]),
+                rng.randint(0, 13),
+                rng.randint(0, 32),
+                rng.randint(0, 25),
+                rng.randint(0, 61),
+                rng.randint(0, 62),
+            )
+            ts = "%04d%02d%02d%02d%02d%02d" % fields
+            expected = strptime_utc(ts)
+            assert parse_or_none(ts) == expected, ts
+            accepted += expected is not None
+        assert 1000 < accepted < 3000  # both outcomes are well represented
+
+    @pytest.mark.parametrize("ts", ["2020010100000", "202001010000000", "2020010100000x", "2020-1-1000000"])
+    def test_not_fourteen_digits(self, ts):
+        with pytest.raises(InvalidTimestamp, match="14 digits"):
+            timestamp14_datetime(ts)
+
+
+def old_canonical_form(u: UriR) -> UriR:
+    """canonical_form as a dataclasses.replace copy, the formula keys were defined by."""
+    port = None if u.port == {"http": 80, "https": 443}.get(u.scheme) else u.port
+    return dataclasses.replace(
+        u, port=port, path=u.path or "/", query=tuple(sorted(u.query, key=lambda p: p[0])), fragment=None
+    )
+
+
+def old_canonicalize(u: UriR) -> str:
+    c = old_canonical_form(u)
+    rev_host = ",".join(reversed(c.host.split(".")))
+    port_part = f":{c.port}" if c.port is not None else ""
+    query_part = "?" + format_query(c.query) if c.query else ""
+    return f"{rev_host}{port_part}){c.path}{query_part}"
+
+
+def old_fuzzy_reduce(u: UriR, rules: FuzzyRuleSet) -> str:
+    return old_canonicalize(dataclasses.replace(u, query=tuple(p for p in u.query if not rules.strips(*p))))
+
+
+KEY_INPUTS = [
+    "http://Example.org:80/a?b=2&a=1#frag",  # default port, fragment
+    "https://example.org:443/",  # default https port
+    "https://example.org:80/",  # another scheme's default port is kept
+    "http://example.org:8080/p",  # explicit port
+    "http://example.org",  # empty path
+    "http://example.org?x=1",  # empty path with a query
+    "http://example.org/#",  # empty fragment
+    "http://example.org/p?b=1&a=2&b=0&a=9",  # repeated names keep their order
+    "http://example.org/p?a&a=&a=1&flag",  # None-valued params
+    "http://example.org/feed?_=1630454400123&cb=1&x",  # a cache-buster
+    "http://example.org/feed?ts=123456789012&sid=abc",  # stripped by every rule set but the empty one
+    "http://example.org/feed?ts=123456789012",  # nothing kept once stripped
+]
+RULE_SETS = [
+    EMPTY_RULES,
+    FuzzyRuleSet(strip_numeric_only_params=True),
+    FuzzyRuleSet(strip_params=frozenset({"sid", "cb", "ts"})),
+]
+
+
+class TestKeysWithoutCopies:
+    @pytest.mark.parametrize("url", KEY_INPUTS)
+    def test_canonicalize_equals_the_copying_formula(self, url):
+        u = parse_urir(url)
+        assert canonical_form(u) == old_canonical_form(u)
+        assert canonicalize(u) == canonicalize(canonical_form(u)) == old_canonicalize(u)
+
+    @pytest.mark.parametrize("rules", RULE_SETS)
+    @pytest.mark.parametrize("url", KEY_INPUTS)
+    def test_fuzzy_reduce_equals_the_copying_formula(self, url, rules):
+        u = parse_urir(url)
+        assert fuzzy_reduce(u, rules) == old_fuzzy_reduce(u, rules)
+
+    def test_random_urls(self):
+        rng = random.Random(2212)
+        rules = FuzzyRuleSet(strip_params=frozenset({"a"}), strip_numeric_only_params=True)
+        for _ in range(500):
+            u = parse_urir(random_url(rng))
+            assert canonicalize(u) == old_canonicalize(u)
+            assert fuzzy_reduce(u, rules) == old_fuzzy_reduce(u, rules)

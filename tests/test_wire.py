@@ -132,7 +132,7 @@ class TestProxyOverSockets:
                 try:
                     conn.connect()
                     sock = conn.sock
-                    steps = (("GET", "MISS", b"pngbytes"), ("HEAD", "MISS", b""), ("GET", "HIT", b"pngbytes"))
+                    steps = (("GET", "MISS", b"pngbytes"), ("HEAD", "HIT", b""), ("GET", "HIT", b"pngbytes"))
                     for method, marker, expected in steps:
                         conn.request(method, path)
                         raw = conn.getresponse()
@@ -147,7 +147,7 @@ class TestProxyOverSockets:
                     assert raw.getheader("X-Cache") is None
                     assert raw.getheader("Content-Length") == str(len(body))
                     lines = body.decode().splitlines()
-                    assert {"client_requests 3", "cache_hits_fresh 1", "upstream_requests 2"} <= set(lines)
+                    assert {"client_requests 3", "cache_hits_fresh 2", "upstream_requests 1"} <= set(lines)
                     assert conn.sock is sock  # never reconnected
                 finally:
                     conn.close()
@@ -430,6 +430,60 @@ class TestUpstreamConnection:
         m = proxy.metrics_snapshot()
         assert (m.client_requests, m.upstream_requests) == (1, 1)
         assert m.client_requests == m.cache_hits_fresh + m.upstream_requests + m.throttled_429
+
+
+class TestClose:
+    def test_open_connection_not_answered_after_close(self):
+        handle = serve_handler(lambda request, now: Response(200, (), b"old app"))
+        host, port = split_hostport(handle.address)
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request("GET", "/")
+            assert conn.getresponse().read() == b"old app"
+            handle.close()
+            with pytest.raises((http.client.HTTPException, OSError)):
+                conn.request("GET", "/")
+                conn.getresponse().read()
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("relisten", [False, True], ids=["nothing-listens", "new-listener"])
+    def test_kept_upstream_connection_never_reaches_the_closed_app(self, relisten):
+        old = serve_handler(lambda request, now: Response(200, (), b"old app"))
+        address = old.address
+        answers = []
+        fetched = threading.Event()
+        closed = threading.Event()
+
+        def fetch_twice():
+            # a thread keeps its own upstream connection, so both fetches run on this one
+            try:
+                answers.append(http_fetch(address, Request("GET", "/")).body)
+                fetched.set()
+                closed.wait(5)
+                try:
+                    answers.append(http_fetch(address, Request("GET", "/")).body)
+                except UpstreamUnreachable:
+                    answers.append("502")
+            finally:
+                wire._take_kept(None)
+
+        fetcher = threading.Thread(target=fetch_twice)
+        fetcher.start()
+        new = None
+        try:
+            assert fetched.wait(5)
+            old.close()
+            if relisten:
+                new = serve_handler(lambda request, now: Response(200, (), b"new app"), listen=address)
+            closed.set()
+            fetcher.join(5)
+        finally:
+            closed.set()
+            if new is not None:
+                new.close()
+        assert not fetcher.is_alive()
+        assert answers == [b"old app", b"new app" if relisten else "502"]
 
 
 class TestHelpers:

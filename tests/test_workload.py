@@ -228,6 +228,10 @@ class TestBrowserCacheDecide:
         r = Response(404, (("Cache-Control", "max-age=0"),), b"")
         assert browser_cache_decide(r) is None
 
+    @pytest.mark.parametrize("cache_control, lifetime", [("s-maxage=0, max-age=600", 600.0), ("s-maxage=600", None)])
+    def test_private_cache_ignores_s_maxage(self, cache_control, lifetime):
+        assert browser_cache_decide(Response(404, (("Cache-Control", cache_control),), b"")) == lifetime
+
     def test_model_expiry(self):
         model = BrowserCacheModel()
         r = Response(404, (("Cache-Control", "max-age=10"),), b"")
