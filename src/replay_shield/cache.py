@@ -96,12 +96,13 @@ class CacheKey(NamedTuple):
     key: str
 
 
-def make_cache_key(method: str, url: str, policy: CachePolicy) -> CacheKey:
+def make_cache_key(url: str, policy: CachePolicy) -> CacheKey:
+    """The GET key of `url`; a HEAD is answered from the GET's entry."""
     if policy.key_mode == KeyMode.EXACT:
-        return CacheKey(method, url)
+        return CacheKey("GET", url)
     if policy.key_mode == KeyMode.CANONICAL:
-        return CacheKey(method, fuzzy_key_of(url, EMPTY_RULES))
-    return CacheKey(method, fuzzy_key_of(url, FUZZY_RULES))
+        return CacheKey("GET", fuzzy_key_of(url, EMPTY_RULES))
+    return CacheKey("GET", fuzzy_key_of(url, FUZZY_RULES))
 
 
 @dataclass(frozen=True)

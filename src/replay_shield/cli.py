@@ -35,7 +35,6 @@ from .configtext import ConfigError
 from .httpmsg import Request
 from .proxy import (
     METRICS_PATH,
-    InjectionConfig,
     InjectionMode,
     ProxyConfig,
     ProxyMetrics,
@@ -79,8 +78,8 @@ class ExperimentSpec:
     injection_mode: InjectionMode = InjectionMode.ALWAYS
     duration: float | None = None
     key_mode: KeyMode = KeyMode.EXACT
-    patch_mode: str = "off"
-    limiter: LimiterRule = LimiterRule()
+    patch: bool = False
+    limiter: LimiterRule | None = None
     manifest_path: Path | None = None
     min_repeats: int = 3
 
@@ -117,10 +116,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     else:
         raise ConfigError("a scenario file needs --manifest for the upstream holdings")
 
-    sim = UpstreamSimulator(store, patch=PatchConfig(enabled=spec.patch_mode == "ia"))
+    sim = UpstreamSimulator(store, patch=PatchConfig(enabled=spec.patch))
     proxy_cfg = ProxyConfig(
         policy=CachePolicy(key_mode=spec.key_mode),
-        injection=InjectionConfig(mode=spec.injection_mode),
+        injection_mode=spec.injection_mode,
         proxy_caching_enabled=spec.cache_enabled,
     )
     clock = LogicalClock()
@@ -171,7 +170,7 @@ def _page_spec(args) -> ExperimentSpec:
         scenario=args.scenario,
         duration=args.duration,
         # without --limiter, --min-repeats sets only the report's cluster threshold
-        limiter=LimiterRule(enabled=args.limiter, min_repeats=args.min_repeats if args.limiter else LimiterRule.min_repeats),
+        limiter=LimiterRule(args.min_repeats) if args.limiter else None,
         min_repeats=args.min_repeats,
     )
 
@@ -182,7 +181,7 @@ def cmd_reproduce(args) -> int:
         _page_spec(args),
         injection_mode=InjectionMode(args.injection),
         key_mode=KeyMode(args.key_mode),
-        patch_mode=args.patch,
+        patch=args.patch == "ia",
         manifest_path=Path(args.manifest) if args.manifest else None,
     )
 

@@ -46,11 +46,6 @@ class InjectionMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class InjectionConfig:
-    mode: InjectionMode = InjectionMode.ALWAYS
-
-
-@dataclass(frozen=True)
 class ThrottleConfig:
     """The proxy's limiter for the archive's patch endpoint: requests that name a
     patch_target go through a SlidingWindowThrottle keyed on that target."""
@@ -159,16 +154,15 @@ class ProxyConfig:
     listen_address: str = "127.0.0.1:8080"
     upstream_address: str = "127.0.0.1:8081"
     policy: CachePolicy = field(default_factory=CachePolicy)
-    injection: InjectionConfig = field(default_factory=InjectionConfig)
+    injection_mode: InjectionMode = InjectionMode.ALWAYS
     throttle: ThrottleConfig = field(default_factory=ThrottleConfig)
     proxy_caching_enabled: bool = True
 
 
-def inject_cache_control(response: Response, injection: InjectionConfig) -> Response:
-    """Set Cache-Control to INJECTION_HEADER as the mode says; status and body
+def inject_cache_control(response: Response, mode: InjectionMode) -> Response:
+    """Set Cache-Control to INJECTION_HEADER as `mode` says; status and body
     are untouched. A 429 or 5xx is never stamped, so no client keeps a passing
     throttle or outage as the answer."""
-    mode = injection.mode
     if mode is InjectionMode.OFF or response.status == 429 or response.status >= 500:
         return response
     if mode is InjectionMode.MISSING_ONLY and response.header("Cache-Control") is not None:
@@ -178,14 +172,20 @@ def inject_cache_control(response: Response, injection: InjectionConfig) -> Resp
     return response.with_header("Cache-Control", INJECTION_HEADER)
 
 
-class _Flight:
-    """The requests that missed one cache key and have not finished yet."""
+# the answer when the upstream cannot be reached; Response is frozen, so one serves all
+_UNREACHABLE = text_response(502, "upstream unreachable").with_header("X-Cache", "MISS")
 
-    __slots__ = ("lock", "requests")
+
+class _Flight:
+    """One cache key's upstream fetch. Its leader holds `lock` until the fetch
+    is done, so a request that waits on the lock waits for the answer."""
+
+    __slots__ = ("lock", "failed")
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.requests = 0
+        self.lock.acquire()
+        self.failed = False
 
 
 class ReverseProxy:
@@ -228,32 +228,42 @@ class ReverseProxy:
             return self._fetch(request, None, now)
         # a HEAD is answered from the stored GET (RFC 9110 section 9.3.2); the
         # wire sends its head alone
-        key = make_cache_key("GET", request.url, self.config.policy)
+        key = make_cache_key(request.url, self.config.policy)
         found = self.cache.lookup(key, now)
         if found.state is LookupState.FRESH:
             return self._hit(found.entry, now)
         if request.method == "HEAD":
             return self._fetch(request, None, now)  # an answer without its body is never stored
 
-        # Single flight: the first request to miss a key fetches it; the others
-        # wait for it, then find the stored response. The key's entry lives only
-        # while requests for it are in flight.
+        # Single flight: the first request to miss a key leads its flight and
+        # fetches; the others wait for the leader. They share its failure, take
+        # a stored answer as a HIT, and after any other answer fetch in
+        # parallel (RFC 9111 section 4). The key's entry lives while its leader
+        # fetches.
         with self._inflight_guard:
             flight = self._inflight.get(key)
-            if flight is None:
+            leading = flight is None
+            if leading:
                 flight = self._inflight[key] = _Flight()
-            flight.requests += 1
+        if not leading:
+            with flight.lock:  # held by the leader until its fetch is done
+                pass
+            if flight.failed:
+                return self._unreachable()
         try:
-            with flight.lock:
-                found = self.cache.lookup(key, now)
-                if found.state is LookupState.FRESH:
-                    return self._hit(found.entry, now)
-                return self._fetch(request, key, now)
+            # the leader's answer, or one stored since the lookup above
+            found = self.cache.lookup(key, now)
+            if found.state is LookupState.FRESH:
+                return self._hit(found.entry, now)
+            response = self._fetch(request, key, now)
+            if leading:
+                flight.failed = response is _UNREACHABLE
+            return response
         finally:
-            with self._inflight_guard:
-                flight.requests -= 1
-                if not flight.requests:
+            if leading:
+                with self._inflight_guard:
                     del self._inflight[key]
+                flight.lock.release()
 
     def _hit(self, entry: CachedResponse, now: float) -> Response:
         """The stored response as served from cache: with its Age (RFC 9111
@@ -268,14 +278,17 @@ class ReverseProxy:
         try:
             response = self.upstream(request)
         except UpstreamUnreachable:
-            self._metrics.count(502, upstream=1)
-            return text_response(502, "upstream unreachable").with_header("X-Cache", "MISS")
-        response = inject_cache_control(response, self.config.injection)
+            return self._unreachable()
+        response = inject_cache_control(response, self.config.injection_mode)
         if key is not None:
             directives = parse_cache_control(response.header("Cache-Control"))
             self.cache.store(key, response, directives, now)
         self._metrics.count(response.status, upstream=1)
         return response.with_header("X-Cache", "MISS")
+
+    def _unreachable(self) -> Response:
+        self._metrics.count(502, upstream=1)
+        return _UNREACHABLE
 
 
 CONFIG_KEYS = frozenset({
@@ -297,7 +310,7 @@ def proxy_config_from_text(text: str) -> ProxyConfig:
 
     defaults = ProxyConfig()
     try:
-        mode = InjectionMode(items.get("injection.mode", defaults.injection.mode))
+        mode = InjectionMode(items.get("injection.mode", defaults.injection_mode))
     except ValueError as exc:
         raise ConfigError(f"injection.mode: {exc}") from None
     try:
@@ -313,7 +326,7 @@ def proxy_config_from_text(text: str) -> ProxyConfig:
                 key_mode=key_mode,
                 capacity=read("cache.capacity", configtext.parse_int, defaults.policy.capacity),
             ),
-            injection=InjectionConfig(mode),
+            injection_mode=mode,
             throttle=ThrottleConfig(read("throttle.enabled", configtext.parse_bool, defaults.throttle.enabled)),
             proxy_caching_enabled=read("cache.enabled", configtext.parse_bool, defaults.proxy_caching_enabled),
         )

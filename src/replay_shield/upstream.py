@@ -30,7 +30,9 @@ from .urls import (
 
 logger = logging.getLogger(__name__)
 
-NOT_FOUND_BODY = b"<!doctype html><html><body><h1>404 Not Found</h1><p>capture not in archive</p></body></html>"
+# the answer for a URL the archive holds no capture of; Response is frozen, so one serves all
+NOT_FOUND = Response(404, (("Content-Type", "text/html"),),
+                     b"<!doctype html><html><body><h1>404 Not Found</h1><p>capture not in archive</p></body></html>")
 
 # logical time 0 of a simulation run, used to mint timestamps for patched captures
 DEFAULT_EPOCH = datetime(2021, 9, 1, 0, 0, 0, tzinfo=timezone.utc)
@@ -139,7 +141,7 @@ class UpstreamSimulator:
             prefix, ts, modifier, remainder = split_at_timestamp(origin_form(request.url))
             target = parse_urir(remainder)
         except UrlError:
-            return Response(404, (("Content-Type", "text/html"),), NOT_FOUND_BODY)
+            return NOT_FOUND
 
         # the nearest 200 capture at no distance is the exact one
         nearest = self.store.nearest_capture(canonicalize(target), ts)
@@ -158,7 +160,7 @@ class UpstreamSimulator:
 
         if self.patch_config.enabled:
             return Response(302, (("Location", f"{PATCH_PATH_PREFIX}{remainder}"),))
-        return Response(404, (("Content-Type", "text/html"),), NOT_FOUND_BODY)
+        return NOT_FOUND
 
     def patch(self, target_url: str, now: float) -> Response:
         """Attempt to archive `target_url` from the simulated live web."""

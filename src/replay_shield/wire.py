@@ -135,65 +135,84 @@ def _end_to_end_headers(headers: list[tuple[str, str]]) -> tuple[tuple[str, str]
 
 
 class _WireServer(socketserver.ThreadingTCPServer):
+    """A running listener that answers each connection on its own thread with
+    `app`; shut it down with close()."""
+
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address, handler_cls, app: Handler, echo: LogSink | None):
-        super().__init__(address, handler_cls)
+    def __init__(self, address: tuple[str, int], app: Handler, echo: LogSink | None):
+        super().__init__(address, _WireHandler)
         self.app = app
         self.echo = echo
         self.started = time.monotonic()
-        self.log_lines: deque[str] = deque(maxlen=LOG_LINES_KEPT)
+        self._log_lines: deque[str] = deque(maxlen=LOG_LINES_KEPT)
         self._log_lock = threading.Lock()
-        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
-        # the connections a handler thread is serving, shut down by close_connections()
+        # the connections a handler thread is serving: their number is the cap,
+        # and close() shuts each down
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        name = f"wire-{self.server_address[1]}"
+        self._thread = threading.Thread(target=self.serve_forever, args=(_SHUTDOWN_POLL_SECONDS,), name=name, daemon=True)
+        self._thread.start()
+
+    @property
+    def address(self) -> str:
+        host, port = self.server_address[:2]
+        return f"{host}:{port}"
+
+    @property
+    def log_lines(self) -> list[str]:
+        """The most recent LOG_LINES_KEPT request log lines, oldest first."""
+        with self._log_lock:
+            return list(self._log_lines)
 
     def record(self, line: str) -> None:
         with self._log_lock:
-            self.log_lines.append(line)
+            self._log_lines.append(line)
         if self.echo is not None:
             self.echo(line)
 
     def process_request(self, request, client_address):
         # Runs on the accept loop, so a connection over the cap is refused
-        # without waiting: close() must stay prompt.
-        if not self._slots.acquire(blocking=False):
+        # without waiting: close() must stay prompt. A connection whose thread
+        # fails to start leaves the set through shutdown_request, which
+        # socketserver calls on the error.
+        with self._open_lock:
+            busy = len(self._open) >= MAX_CONNECTIONS
+            if not busy:
+                self._open.add(request)
+        if busy:
             try:
                 request.sendall(_BUSY)  # a few bytes into an empty send buffer
             except OSError:
                 pass
             self.shutdown_request(request)
             return
-        with self._open_lock:
-            self._open.add(request)
-        try:
-            super().process_request(request, client_address)
-        except BaseException:
-            self._slots.release()
-            raise
-
-    def process_request_thread(self, request, client_address):
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            self._slots.release()
+        super().process_request(request, client_address)
 
     def shutdown_request(self, request):
         with self._open_lock:
             self._open.discard(request)
         super().shutdown_request(request)
 
-    def close_connections(self) -> None:
-        """End every open connection: its handler thread reads end of stream,
-        and its client finds the connection closed."""
+    def close(self) -> None:
+        """Stop accepting, then end the open keep-alive connections, so no
+        client is answered by this server's app after close() returns: each
+        handler thread reads end of stream, and its client finds the
+        connection closed."""
+        self.shutdown()
         with self._open_lock:
             for conn in self._open:
                 try:
                     conn.shutdown(socket.SHUT_RDWR)
                 except OSError:  # the client closed it already
                     pass
+        self._thread.join(timeout=5)
+        self.server_close()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class _WireHandler(socketserver.StreamRequestHandler):
@@ -296,44 +315,6 @@ class _WireHandler(socketserver.StreamRequestHandler):
         self.wfile.write(head if head_only else head + response.body)
 
 
-class ServerHandle:
-    """A running listener; shut it down with close()."""
-
-    def __init__(self, server: _WireServer, thread: threading.Thread):
-        self._server = server
-        self._thread = thread
-
-    @property
-    def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
-
-    @property
-    def log_lines(self) -> list[str]:
-        """The most recent LOG_LINES_KEPT request log lines, oldest first."""
-        with self._server._log_lock:
-            return list(self._server.log_lines)
-
-    def close(self) -> None:
-        """Stop accepting, then end the open keep-alive connections, so no
-        client is answered by this server's app after close() returns."""
-        self._server.shutdown()
-        self._server.close_connections()
-        self._thread.join(timeout=5)
-        self._server.server_close()
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def serve_handler(app: Handler, listen: str = "127.0.0.1:0", echo: LogSink | None = None) -> ServerHandle:
+def serve_handler(app: Handler, listen: str = "127.0.0.1:0", echo: LogSink | None = None) -> _WireServer:
     """Start `app` behind a threaded HTTP listener; port 0 picks a free port."""
-    host, port = split_hostport(listen)
-    server = _WireServer((host, port), _WireHandler, app, echo)
-    name = f"wire-{server.server_address[1]}"
-    thread = threading.Thread(target=server.serve_forever, args=(_SHUTDOWN_POLL_SECONDS,), name=name, daemon=True)
-    thread.start()
-    return ServerHandle(server, thread)
+    return _WireServer(split_hostport(listen), app, echo)

@@ -186,7 +186,6 @@ class LimiterRule:
     """Client-side guard: once a URL has returned the same non-200 status
     `min_repeats` times, replay the prior response instead of hitting the network."""
 
-    enabled: bool = False
     min_repeats: int = 3
 
     def __post_init__(self):
@@ -196,7 +195,7 @@ class LimiterRule:
 
 def limiter_filter(network_statuses: Sequence[int], rule: LimiterRule) -> bool:
     """True when the URL's network history triggers suppression."""
-    if not rule.enabled or len(network_statuses) < rule.min_repeats:
+    if len(network_statuses) < rule.min_repeats:
         return False
     first = network_statuses[0]
     return first != 200 and all(s == first for s in network_statuses)
@@ -250,7 +249,7 @@ class BrowserCacheModel:
 
 
 class _PageRun:
-    def __init__(self, transport: Transport, limiter: LimiterRule, clock: LogicalClock):
+    def __init__(self, transport: Transport, limiter: LimiterRule | None, clock: LogicalClock):
         self.transport = transport
         self.limiter = limiter
         self.clock = clock
@@ -280,7 +279,7 @@ class _PageRun:
             return cached
 
         history = self.network_statuses.get(url, [])
-        if limiter_filter(history, self.limiter):
+        if self.limiter is not None and limiter_filter(history, self.limiter):
             replay = self.last_network_response[url]
             self.events.append(ClientEvent(t, url, EventSource.LIMITER_SUPPRESSED, replay.status))
             return replay
@@ -300,7 +299,7 @@ def run_page(
     spec: PageSpec,
     transport: Transport,
     clock: LogicalClock | None = None,
-    limiter: LimiterRule = LimiterRule(),
+    limiter: LimiterRule | None = None,
 ) -> list[ClientEvent]:
     """Simulate the page for its duration; returns the complete event log.
 

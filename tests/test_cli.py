@@ -115,7 +115,7 @@ class TestRunExperiment:
         from collections import Counter
         from dataclasses import replace
 
-        base = ExperimentSpec(scenario="mre", duration=60.0, patch_mode="ia")
+        base = ExperimentSpec(scenario="mre", duration=60.0, patch=True)
         before = run_experiment(
             replace(base, cache_enabled=False, injection_mode=InjectionMode.OFF)
         )

@@ -10,7 +10,6 @@ from replay_shield.cache import CachePolicy, KeyMode
 from replay_shield.configtext import ConfigError
 from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import (
-    InjectionConfig,
     InjectionMode,
     ProxyConfig,
     ReverseProxy,
@@ -94,7 +93,7 @@ class TestHandleRequest:
     def test_injection_off_caching_off_all_hit_upstream(self):
         upstream = FakeUpstream(missing={MISSING})
         cfg = ProxyConfig(
-            injection=InjectionConfig(mode=InjectionMode.OFF),
+            injection_mode=InjectionMode.OFF,
             proxy_caching_enabled=False,
         )
         proxy = ReverseProxy(cfg, upstream)
@@ -111,7 +110,7 @@ class TestHandleRequest:
             calls.append(request.url)
             return Response(200, (("Cache-Control", cache_control),), b"for one user")
 
-        proxy = ReverseProxy(ProxyConfig(injection=InjectionConfig(InjectionMode.MISSING_ONLY)), upstream)
+        proxy = ReverseProxy(ProxyConfig(injection_mode=InjectionMode.MISSING_ONLY), upstream)
         markers = [proxy.handle_request(get("http://a/b"), now=float(t)).header("X-Cache") for t in (0, 1)]
         assert markers == ["MISS", "MISS"]
         assert len(calls) == 2
@@ -127,7 +126,7 @@ class TestHandleRequest:
             calls.append(request.url)
             return Response(404, (("Cache-Control", cache_control),), b"gone")
 
-        proxy = ReverseProxy(ProxyConfig(injection=InjectionConfig(InjectionMode.MISSING_ONLY)), upstream)
+        proxy = ReverseProxy(ProxyConfig(injection_mode=InjectionMode.MISSING_ONLY), upstream)
         assert [proxy.handle_request(get(MISSING), now=float(t)).header("X-Cache") for t in (0, 1)] == markers
         assert len(calls) == markers.count("MISS")
 
@@ -213,43 +212,43 @@ class TestHandleRequest:
     @pytest.mark.parametrize("mode", [InjectionMode.ALWAYS, InjectionMode.MISSING_ONLY])
     def test_throttle_and_server_error_are_never_stamped(self, mode):
         statuses = {"http://a/throttled": 429, "http://a/down": 503, "http://a/missing": 404}
-        proxy = ReverseProxy(ProxyConfig(injection=InjectionConfig(mode)), lambda req: Response(statuses[req.url]))
+        proxy = ReverseProxy(ProxyConfig(injection_mode=mode), lambda req: Response(statuses[req.url]))
         stamped = {url: proxy.handle_request(get(url), now=0.0).header("Cache-Control") for url in statuses}
         assert stamped == {"http://a/throttled": None, "http://a/down": None, "http://a/missing": "public, max-age=600"}
 
 
 class TestInjectCacheControl:
     def test_always_sets_header_on_404(self):
-        out = inject_cache_control(Response(404, (), b""), InjectionConfig())
+        out = inject_cache_control(Response(404, (), b""), InjectionMode.ALWAYS)
         assert out.header("Cache-Control") == "public, max-age=600"
         assert out.status == 404 and out.body == b""
 
     def test_missing_only_keeps_existing(self):
         existing = Response(200, (("Cache-Control", "no-store"),), b"x")
-        out = inject_cache_control(existing, InjectionConfig(mode=InjectionMode.MISSING_ONLY))
+        out = inject_cache_control(existing, InjectionMode.MISSING_ONLY)
         assert out == existing
 
     def test_missing_only_sets_when_absent(self):
-        out = inject_cache_control(Response(200, (), b"x"), InjectionConfig(mode=InjectionMode.MISSING_ONLY))
+        out = inject_cache_control(Response(200, (), b"x"), InjectionMode.MISSING_ONLY)
         assert out.header("Cache-Control") == "public, max-age=600"
 
     def test_status_404_only_ignores_200(self):
         r = Response(200, (("Content-Type", "text/css"),), b"x")
-        assert inject_cache_control(r, InjectionConfig(mode=InjectionMode.STATUS_404_ONLY)) == r
+        assert inject_cache_control(r, InjectionMode.STATUS_404_ONLY) == r
 
     def test_status_404_only_sets_on_404(self):
-        out = inject_cache_control(Response(404, (), b""), InjectionConfig(mode=InjectionMode.STATUS_404_ONLY))
+        out = inject_cache_control(Response(404, (), b""), InjectionMode.STATUS_404_ONLY)
         assert out.header("Cache-Control") == "public, max-age=600"
 
     def test_always_overwrites(self):
         existing = Response(404, (("Cache-Control", "no-store"),), b"")
-        out = inject_cache_control(existing, InjectionConfig())
+        out = inject_cache_control(existing, InjectionMode.ALWAYS)
         assert out.headers.count(("Cache-Control", "public, max-age=600")) == 1
         assert out.header("Cache-Control") == "public, max-age=600"
 
     def test_other_headers_and_body_preserved(self):
         r = Response(404, (("Content-Type", "text/html"), ("Memento-Datetime", "x")), b"<h1>")
-        out = inject_cache_control(r, InjectionConfig())
+        out = inject_cache_control(r, InjectionMode.ALWAYS)
         assert out.header("Content-Type") == "text/html"
         assert out.header("Memento-Datetime") == "x"
         assert out.body == r.body
@@ -457,6 +456,60 @@ class TestCoalescing:
         m = proxy.metrics_snapshot()
         assert (m.client_requests, m.upstream_requests, m.cache_hits_fresh) == (800, 20, 780)
 
+    FETCH_SECONDS = 0.3
+
+    def concurrent_misses(self, answer):
+        """Four concurrent misses on one key against an upstream that takes
+        FETCH_SECONDS and then calls `answer`; returns the proxy, the upstream
+        calls and each client's (status, seconds to its answer)."""
+        import threading
+        import time
+
+        calls = []
+
+        def upstream(request):
+            calls.append(request.url)
+            time.sleep(self.FETCH_SECONDS)
+            return answer()
+
+        proxy = ReverseProxy(ProxyConfig(), upstream)
+        start = threading.Barrier(4)
+        answers = []
+
+        def client():
+            start.wait()
+            began = time.monotonic()
+            status = proxy.handle_request(get("http://a/img"), now=0.0).status
+            answers.append((status, time.monotonic() - began))
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        return proxy, calls, answers
+
+    def test_waiters_share_the_leaders_failure(self):
+        def answer():
+            raise UpstreamUnreachable("refused")
+
+        proxy, calls, answers = self.concurrent_misses(answer)
+        assert len(calls) == 1
+        assert [status for status, _ in answers] == [502] * 4
+        assert max(seconds for _, seconds in answers) < 2 * self.FETCH_SECONDS
+        assert proxy._inflight == {}
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.upstream_requests, m.responses_by_status) == (4, 4, {502: 4})
+
+    def test_waiters_fetch_in_parallel_after_an_answer_not_stored(self):
+        proxy, calls, answers = self.concurrent_misses(lambda: Response(302, (("Location", "http://a/elsewhere"),)))
+        assert len(calls) == 4
+        assert [status for status, _ in answers] == [302] * 4
+        assert max(seconds for _, seconds in answers) < 2.5 * self.FETCH_SECONDS
+        assert proxy._inflight == {}
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.upstream_requests, m.cache_hits_fresh) == (4, 4, 0)
+
 
 class TestConfigText:
     def test_full_config_round_trip(self):
@@ -476,7 +529,7 @@ class TestConfigText:
             listen_address="127.0.0.1:9090",
             upstream_address="127.0.0.1:9091",
             policy=CachePolicy(default_max_age=300, key_mode=KeyMode.CANONICAL, capacity=500),
-            injection=InjectionConfig(InjectionMode.STATUS_404_ONLY),
+            injection_mode=InjectionMode.STATUS_404_ONLY,
             throttle=ThrottleConfig(enabled=True),
             proxy_caching_enabled=False,
         )

@@ -7,6 +7,7 @@ import itertools
 import logging
 import re
 import socket
+import socketserver
 import threading
 import time
 
@@ -323,6 +324,23 @@ class TestRequestGates:
             while status_lines(raw_exchange(handle.address, b"GET / HTTP/1.0\r\n\r\n")) != [b"HTTP/1.1 200 OK"]:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
+
+    def test_a_connection_whose_thread_fails_to_start_frees_its_place(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 1)
+        start_thread = socketserver.ThreadingMixIn.process_request
+        failures = [RuntimeError("can't start new thread")]
+
+        def fails_once(server, request, client_address):
+            if failures:
+                raise failures.pop()
+            start_thread(server, request, client_address)
+
+        monkeypatch.setattr(socketserver.ThreadingMixIn, "process_request", fails_once)
+        with serve_handler(lambda request, now: Response(200, (), b"ok")) as handle:
+            assert raw_exchange(handle.address, b"") == b""  # closed unanswered
+            answer = raw_exchange(handle.address, b"GET / HTTP/1.0\r\n\r\n")
+        assert not failures
+        assert status_lines(answer) == [b"HTTP/1.1 200 OK"]
 
 
 class CountedConnects:

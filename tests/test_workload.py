@@ -8,7 +8,7 @@ import pytest
 
 from replay_shield.cache import CachePolicy
 from replay_shield.httpmsg import Request, Response
-from replay_shield.proxy import InjectionConfig, InjectionMode, ProxyConfig, ReverseProxy
+from replay_shield.proxy import InjectionMode, ProxyConfig, ReverseProxy
 from replay_shield.upstream import UpstreamSimulator, parse_manifest_text
 from replay_shield.workload import (
     BrowserCacheModel,
@@ -55,7 +55,7 @@ def mre_stack(cache_on: bool):
     sim = UpstreamSimulator(parse_manifest_text(manifest))
     clock = LogicalClock()
     cfg = ProxyConfig(
-        injection=InjectionConfig(mode=InjectionMode.ALWAYS if cache_on else InjectionMode.OFF),
+        injection_mode=InjectionMode.ALWAYS if cache_on else InjectionMode.OFF,
         proxy_caching_enabled=cache_on,
         policy=CachePolicy(),
     )
@@ -249,19 +249,23 @@ class TestBrowserCacheDecide:
 
 class TestLimiter:
     def test_three_prior_404s_suppresses(self):
-        assert limiter_filter([404, 404, 404], LimiterRule(enabled=True, min_repeats=3))
+        assert limiter_filter([404, 404, 404], LimiterRule(min_repeats=3))
 
     def test_two_prior_404s_passes(self):
-        assert not limiter_filter([404, 404], LimiterRule(enabled=True, min_repeats=3))
+        assert not limiter_filter([404, 404], LimiterRule(min_repeats=3))
 
     def test_200_repeats_never_suppressed(self):
-        assert not limiter_filter([200, 200, 200], LimiterRule(enabled=True, min_repeats=3))
+        assert not limiter_filter([200, 200, 200], LimiterRule(min_repeats=3))
 
     def test_mixed_statuses_pass(self):
-        assert not limiter_filter([404, 500, 404], LimiterRule(enabled=True, min_repeats=3))
+        assert not limiter_filter([404, 500, 404], LimiterRule(min_repeats=3))
 
     def test_disabled_passes(self):
-        assert not limiter_filter([404] * 10, LimiterRule(enabled=False))
+        transport, calls = counting_transport(missing={"http://a/feed"})
+        spec = PageSpec("p", (), (XhrPoll("http://a/feed", interval=1.0),), duration=20.0)
+        events = run_page(spec, transport, limiter=None)
+        assert calls.count("http://a/feed") == 20
+        assert not any(e.source is EventSource.LIMITER_SUPPRESSED for e in events)
 
     def test_min_repeats_validation(self):
         with pytest.raises(ValueError):
@@ -270,7 +274,7 @@ class TestLimiter:
     def test_limiter_caps_network_requests(self):
         transport, calls = counting_transport(missing={"http://a/feed"})
         spec = PageSpec("p", (), (XhrPoll("http://a/feed", interval=1.0),), duration=20.0)
-        events = run_page(spec, transport, limiter=LimiterRule(enabled=True, min_repeats=3))
+        events = run_page(spec, transport, limiter=LimiterRule(min_repeats=3))
         assert calls.count("http://a/feed") == 3
         suppressed = [e for e in events if e.source is EventSource.LIMITER_SUPPRESSED]
         assert len(suppressed) == 17
