@@ -9,8 +9,10 @@ makes max-age=0 mean "never fresh".
 from __future__ import annotations
 
 import threading
+from calendar import timegm
 from collections import OrderedDict
 from dataclasses import dataclass
+from email.utils import parsedate
 from enum import Enum
 from typing import NamedTuple
 
@@ -130,6 +132,17 @@ def cache_entry(response: Response, now: float, freshness_lifetime: float) -> Ca
     return CachedResponse(response.status, response.headers, response.body, now - arrival_age, freshness_lifetime)
 
 
+def _expires_lifetime(response: Response) -> float:
+    """`Expires` minus `Date` (RFC 9111 section 4.2.1). An `Expires` that does
+    not parse, such as `0`, or a missing `Date` means already expired (section
+    5.3)."""
+    try:  # an HTTP-date is always GMT, so the zone is not read
+        lifetime = timegm(parsedate(response.header("Expires"))) - timegm(parsedate(response.header("Date")))
+    except TypeError:  # parsedate found no date
+        return 0.0
+    return float(max(0, lifetime))
+
+
 class LookupState(Enum):
     FRESH = "fresh"
     STALE = "stale"
@@ -192,11 +205,13 @@ class ResponseCache:
         if response.status not in CACHEABLE_STATUSES:
             return StoreOutcome.REJECTED_STATUS
         # a shared cache takes s-maxage over max-age (RFC 9111 section 5.2.2.10)
-        max_age = directives.max_age if directives.s_maxage is None else directives.s_maxage
-        if max_age is None:
-            max_age = self.policy.default_max_age
+        lifetime = directives.max_age if directives.s_maxage is None else directives.s_maxage
+        if lifetime is None and response.header("Expires") is not None:
+            lifetime = _expires_lifetime(response)
+        if lifetime is None:
+            lifetime = self.policy.default_max_age
         # no-cache: stored, but never fresh, so each request goes to the origin (section 5.2.2.4)
-        entry = cache_entry(response, now, 0.0 if directives.no_cache else float(max_age))
+        entry = cache_entry(response, now, 0.0 if directives.no_cache else float(lifetime))
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)

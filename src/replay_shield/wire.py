@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import logging
+import re
 import socket
 import socketserver
 import struct
@@ -53,8 +54,13 @@ _SERVER_NAME = "replay-shield"
 # the limits of the standard library's HTTP server and client.
 _MAX_LINE = 65536
 _MAX_FIELDS = 100
-# The only request header fields the server reads; the rest are skipped.
-_KEPT_FIELDS = frozenset({"host", "connection", "content-length", "transfer-encoding"})
+# A status line, a header field name (RFC 9110 section 5.1) and a chunk size
+# line, extensions allowed (RFC 9112 sections 4 and 7.1.1).
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([1-9][0-9][0-9])(?: [^\r\n]*)?\r?\n")
+_TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
+# A request target goes out only as visible ASCII (RFC 9112 section 3.2).
+_UNSENDABLE = re.compile(r"[^\x21-\x7e]")
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _BUSY = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
 
@@ -77,44 +83,61 @@ def split_hostport(address: str) -> tuple[str, int]:
 
 def http_fetch(address: str, request: Request) -> Response:
     """Issue `request` to host:port `address`, over the connection this thread
-    last fetched over when it goes there. Connection failure and a malformed
-    answer raise UpstreamUnreachable so the proxy can answer 502."""
+    last fetched over when it goes there. Connection failure, a malformed
+    answer and a target that cannot be sent raise UpstreamUnreachable so the
+    proxy can answer 502."""
+    target = origin_form(request.url)
+    if _UNSENDABLE.search(target):
+        raise UpstreamUnreachable(f"request target {target!r} cannot be sent")
+    head = f"{request.method} {target} HTTP/1.1\r\nHost: {address}\r\nAccept-Encoding: identity\r\n\r\n"
+    message = head.encode("ascii")
     conn = _take_kept(address)
     try:
+        if conn is not None and not conn.answers(message):
+            # The upstream closed the kept connection before answering, so
+            # it did not act on the request (RFC 9112 section 9.3.1).
+            conn.close()
+            conn = None
         if conn is None:
-            conn = _connection(address)
-            raw = _exchange(conn, request)
-        else:
-            try:
-                raw = _exchange(conn, request)
-            except ConnectionError:
-                # The upstream closed the kept connection before answering, so
-                # it did not act on the request (RFC 9112 section 9.3.1).
-                conn.close()
-                conn = _connection(address)
-                raw = _exchange(conn, request)
-        response = Response(raw.status, _end_to_end_headers(raw.getheaders()), raw.read())
-    except (OSError, http.client.HTTPException) as exc:
-        conn.close()
+            conn = _Upstream(address)
+            conn.sock.sendall(message)
+        response, will_close = _read_response(conn.rfile, request.method == "HEAD")
+    except (OSError, _BadMessage) as exc:
+        if conn is not None:
+            conn.close()
         raise UpstreamUnreachable(str(exc)) from exc
-    if raw.will_close:
+    if will_close:
         conn.close()
     else:
         _kept.conn = (address, conn)
     return response
 
 
-def _connection(address: str) -> http.client.HTTPConnection:
-    host, port = split_hostport(address)
-    return http.client.HTTPConnection(host, port, timeout=FETCH_TIMEOUT_SECONDS)
+class _Upstream:
+    """A connection to the upstream. http.client opens it, and this module
+    frames each exchange on it."""
+
+    def __init__(self, address: str):
+        opener = http.client.HTTPConnection(*split_hostport(address), timeout=FETCH_TIMEOUT_SECONDS)
+        opener.connect()
+        self.sock = opener.sock
+        self.rfile = self.sock.makefile("rb")
+
+    def answers(self, message: bytes) -> bool:
+        """Send `message` on this kept connection; False when the upstream
+        closed it before the first byte of an answer."""
+        try:
+            self.sock.sendall(message)
+            return bool(self.rfile.peek(1))
+        except ConnectionError:
+            return False
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
 
 
-def _exchange(conn: http.client.HTTPConnection, request: Request) -> http.client.HTTPResponse:
-    conn.request(request.method, origin_form(request.url))
-    return conn.getresponse()
-
-
-def _take_kept(address: str | None) -> http.client.HTTPConnection | None:
+def _take_kept(address: str | None) -> _Upstream | None:
     """This thread's kept connection if it goes to `address`; one that goes
     elsewhere is closed."""
     kept_address, conn = getattr(_kept, "conn", (None, None))
@@ -125,13 +148,110 @@ def _take_kept(address: str | None) -> http.client.HTTPConnection | None:
     return conn
 
 
-def _end_to_end_headers(headers: list[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
-    """`headers` without the hop-by-hop ones, which must not be relayed or cached."""
-    dropped = _HOP_BY_HOP
-    for name, value in headers:
-        if name.lower() == "connection":
-            dropped = dropped.union(token.strip().lower() for token in value.split(","))
-    return tuple((name, value) for name, value in headers if name.lower() not in dropped)
+class _BadMessage(Exception):
+    """A message that breaks HTTP/1.1 framing or the reader's limits; `status`
+    is the answer a server gives it."""
+
+    def __init__(self, status: int, detail: str):
+        super().__init__(detail)
+        self.status = status
+
+
+def _read_fields(rfile) -> tuple[dict[str, str], list[tuple[str, str]]]:
+    """Read header fields up to the empty line that ends them. Returns each
+    field's value by lowercased name, repeated fields joined with ", " (RFC 9110
+    section 5.3), and the fields that are not hop-by-hop, in order and with
+    their names as sent. A field over _MAX_LINE or more than _MAX_FIELDS
+    fields is a _BadMessage(431); a line that is not `name: value`, obs-fold
+    included (RFC 9112 section 5.2), or a value with CR or NUL in it is a
+    _BadMessage(400). The stream ending first raises ConnectionError."""
+    fields: dict[str, str] = {}
+    relayed: list[tuple[str, str]] = []
+    for _ in range(_MAX_FIELDS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            return fields, relayed
+        if not line:
+            raise ConnectionError("the stream ended inside a message head")
+        if len(line) > _MAX_LINE:
+            raise _BadMessage(431, "header field too long")
+        name, colon, value = line.decode("latin-1").partition(":")
+        value = value.strip(" \t\r\n")
+        if not colon or not _TOKEN.fullmatch(name) or "\r" in value or "\0" in value:
+            raise _BadMessage(400, f"malformed header field {line[:80]!r}")
+        lowered = name.lower()
+        fields[lowered] = f"{fields[lowered]}, {value}" if lowered in fields else value
+        if lowered not in _HOP_BY_HOP:
+            relayed.append((name, value))
+    raise _BadMessage(431, f"more than {_MAX_FIELDS} header fields")
+
+
+def _connection_tokens(fields: dict[str, str]) -> set[str]:
+    connection = fields.get("connection")
+    return {token.strip() for token in connection.lower().split(",")} if connection else set()
+
+
+def _keep_alive(http11: bool, tokens: set[str]) -> bool:
+    """Whether a message leaves its connection open (RFC 9112 section 9.3)."""
+    return "close" not in tokens if http11 else "keep-alive" in tokens
+
+
+def _read_response(rfile, head_only: bool) -> tuple[Response, bool]:
+    """Read the answer to one request, skipping any 1xx interim answers: the
+    final answer with its end-to-end headers, and whether the connection
+    closes after it. A malformed answer raises _BadMessage."""
+    while True:
+        line = rfile.readline(_MAX_LINE + 1)
+        parsed = _STATUS_LINE.fullmatch(line)
+        if parsed is None or len(line) > _MAX_LINE:
+            raise _BadMessage(502, f"bad status line {line[:80]!r}")
+        status = int(parsed[2])
+        fields, relayed = _read_fields(rfile)
+        if status >= 200:
+            break
+    tokens = _connection_tokens(fields)
+    will_close = not _keep_alive(parsed[1] == b"1", tokens)
+    named = tokens - {"", "close", "keep-alive"}
+    if named:  # the fields Connection names describe this connection too
+        relayed = [(name, value) for name, value in relayed if name.lower() not in named]
+
+    length = fields.get("content-length")
+    coding = fields.get("transfer-encoding")
+    if head_only or status in (204, 304):
+        body = b""
+    elif coding is not None:
+        if coding.lower() != "chunked" or length is not None:
+            raise _BadMessage(502, f"unsupported framing: Transfer-Encoding {coding!r}")
+        body = _read_chunked(rfile)
+    elif length is not None:
+        if not (length.isascii() and length.isdigit()):
+            raise _BadMessage(502, f"bad Content-Length {length!r}")
+        size = int(length)
+        body = rfile.read(size)
+        if len(body) < size:
+            raise _BadMessage(502, f"body ended after {len(body)} of {length} bytes")
+    else:
+        body = rfile.read()  # delimited by the end of the stream
+        will_close = True
+    return Response(status, tuple(relayed), body), will_close
+
+
+def _read_chunked(rfile) -> bytes:
+    """A chunked body (RFC 9112 section 7.1), extensions and trailers dropped."""
+    chunks = []
+    while True:
+        line = rfile.readline(_MAX_LINE + 1)
+        sized = _CHUNK_SIZE.fullmatch(line)
+        if sized is None:
+            raise _BadMessage(502, f"bad chunk size line {line[:80]!r}")
+        size = int(sized[1], 16)
+        if size == 0:
+            _read_fields(rfile)
+            return b"".join(chunks)
+        chunk = rfile.read(size + 2)
+        if len(chunk) < size + 2 or not chunk.endswith(b"\r\n"):
+            raise _BadMessage(502, "chunk shorter than its size")
+        chunks.append(chunk[:size])
 
 
 class _WireServer(socketserver.ThreadingTCPServer):
@@ -253,25 +373,14 @@ class _WireHandler(socketserver.StreamRequestHandler):
         if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
             return self._reject(400)
         method, target, version = words
-        fields: dict[str, str] = {}
-        for _ in range(_MAX_FIELDS + 1):
-            field = self.rfile.readline(_MAX_LINE + 1)
-            if not field:
-                return False
-            if field in (b"\r\n", b"\n"):
-                break
-            if len(field) > _MAX_LINE:
-                return self._reject(431)
-            name, _, value = field.decode("latin-1").partition(":")
-            if name.lower() in _KEPT_FIELDS:
-                fields[name.lower()] = value.strip()
-        else:
-            return self._reject(431)
+        try:
+            fields, _ = _read_fields(self.rfile)
+        except _BadMessage as exc:
+            return self._reject(exc.status)
         if method not in ("GET", "HEAD"):
             return self._reject(501)
 
-        tokens = {token.strip() for token in fields.get("connection", "").lower().split(",")}
-        keep_alive = "close" not in tokens if version == "HTTP/1.1" else "keep-alive" in tokens
+        keep_alive = _keep_alive(version == "HTTP/1.1", _connection_tokens(fields))
         # The body is never read, so the stream cannot be trusted past it.
         if "transfer-encoding" in fields or fields.get("content-length", "0") != "0":
             keep_alive = False

@@ -111,6 +111,25 @@ class TestStore:
         cache.store(key("u"), resp404(), parse_cache_control(cache_control), now=0.0)
         assert cache.lookup(key("u"), now=0.0).entry.freshness_lifetime == lifetime
 
+    @pytest.mark.parametrize(
+        "cache_control, expires, date, lifetime",
+        [
+            ("public", "Mon, 19 Oct 2026 10:00:30 GMT", "Mon, 19 Oct 2026 10:00:00 GMT", 30.0),
+            ("public", "Monday, 19-Oct-26 10:01:00 GMT", "Mon Oct 19 10:00:00 2026", 60.0),
+            ("public", "Mon, 19 Oct 2026 09:00:00 GMT", "Mon, 19 Oct 2026 10:00:00 GMT", 0.0),
+            ("public", "0", "Mon, 19 Oct 2026 10:00:00 GMT", 0.0),
+            ("public", "Mon, 19 Oct 2026 10:00:30 GMT", None, 0.0),
+            ("max-age=5", "Mon, 19 Oct 2026 10:00:30 GMT", "Mon, 19 Oct 2026 10:00:00 GMT", 5.0),
+            ("s-maxage=7", "0", None, 7.0),
+        ],
+        ids=["imf-fixdate", "rfc850-and-asctime", "past", "unparsable", "no-date", "max-age-wins", "s-maxage-wins"],
+    )
+    def test_expires_without_max_age(self, cache_control, expires, date, lifetime):
+        headers = (("Expires", expires),) + ((("Date", date),) if date else ())
+        cache = ResponseCache(CachePolicy())
+        cache.store(key("u"), Response(404, headers, b""), parse_cache_control(cache_control), now=0.0)
+        assert cache.lookup(key("u"), now=0.0).entry.freshness_lifetime == lifetime
+
     def test_no_store_rejected(self):
         cache = ResponseCache(CachePolicy())
         out = cache.store(key("u"), resp404(), parse_cache_control("no-store"), now=0.0)

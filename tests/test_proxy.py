@@ -130,6 +130,19 @@ class TestHandleRequest:
         assert [proxy.handle_request(get(MISSING), now=float(t)).header("X-Cache") for t in (0, 1)] == markers
         assert len(calls) == markers.count("MISS")
 
+    def test_missing_only_404_with_past_expires_is_refetched(self):
+        calls = []
+
+        def upstream(request):
+            calls.append(request.url)
+            headers = (("Cache-Control", "public"), ("Date", "Mon, 19 Oct 2026 10:00:00 GMT"),
+                       ("Expires", "Mon, 19 Oct 2026 09:00:00 GMT"))
+            return Response(404, headers, b"gone")
+
+        proxy = ReverseProxy(ProxyConfig(injection_mode=InjectionMode.MISSING_ONLY), upstream)
+        assert [proxy.handle_request(get(MISSING), now=float(t)).header("X-Cache") for t in (0, 1)] == ["MISS", "MISS"]
+        assert len(calls) == 2
+
     def test_save_embed_throttled_second_request(self):
         upstream = FakeUpstream()
         cfg = ProxyConfig(throttle=ThrottleConfig(enabled=True))

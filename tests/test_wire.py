@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import http.client
+import io
 import itertools
 import logging
+import random
 import re
 import socket
 import socketserver
+import struct
 import threading
 import time
 
@@ -260,10 +263,13 @@ class TestRequestGates:
             (b"GET /\r\n\r\n", b"400"),
             (b"GET / HTTP/1.1 extra\r\n\r\n", b"400"),
             (b"GET / HTTX/1.1\r\n\r\n", b"400"),
+            (b"GET / HTTP/1.1\r\nHost: x\r\nX-Long: a\r\n b\r\n\r\n", b"400"),
+            (b"GET / HTTP/1.1\r\nHost x\r\n\r\n", b"400"),
             (b"POST / HTTP/1.1\r\nHost: x\r\n\r\n", b"501"),
             (b"PUT / HTTP/1.1\r\nHost: x\r\n\r\n", b"501"),
         ],
-        ids=["long-line", "101-fields", "long-field", "two-words", "four-words", "bad-version", "post", "put"],
+        ids=["long-line", "101-fields", "long-field", "two-words", "four-words", "bad-version", "obs-fold", "no-colon",
+             "post", "put"],
     )
     def test_rejected_request_answered_then_closed(self, server, head, status):
         address, seen = server
@@ -429,13 +435,60 @@ class TestUpstreamConnection:
         assert connects.count == 1  # no second try on a new connection
         assert len([line for line in lines if "/hang" in line]) <= 1
 
-    def test_malformed_upstream_answer_is_a_counted_502(self):
+    def test_request_bytes_on_the_wire(self):
+        # the bytes http.client.HTTPConnection.request sent for a fetch, kept as they were
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = "127.0.0.1:%d" % listener.getsockname()[1]
+            received = []
+
+            def answer_once():
+                conn, _ = listener.accept()
+                with conn:
+                    data = b""
+                    while not data.endswith(b"\r\n\r\n"):
+                        data += conn.recv(65536)
+                    received.append(data)
+                    conn.sendall(b"HTTP/1.1 204 No Content\r\nConnection: close\r\n\r\n")
+
+            server = threading.Thread(target=answer_once, daemon=True)
+            server.start()
+            assert http_fetch(address, Request("HEAD", "http://a.test/p/q?x=1&y")).status == 204
+            server.join(5)
+        assert not server.is_alive()
+        assert received == [
+            b"HEAD /p/q?x=1&y HTTP/1.1\r\nHost: " + address.encode() + b"\r\nAccept-Encoding: identity\r\n\r\n"
+        ]
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            b"garbage\r\n\r\n",
+            b"HTTP/1.1 20 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/2 200 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: five\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nhello\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\nhello\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Folded: a\r\n b\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Bad\rName: a\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Bad: a\rb\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 101 + b"Content-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n",
+        ],
+        ids=["garbage", "two-digit-status", "http2", "non-numeric-length", "short-body", "gzip-coding",
+             "chunked-and-length", "bad-chunk-size", "short-chunk", "obs-fold", "cr-in-name", "cr-in-value",
+             "101-fields", "long-field", "head-cut-short"],
+    )
+    def test_malformed_upstream_answer_is_a_counted_502(self, answer):
         with socket.create_server(("127.0.0.1", 0)) as listener:
             def answer_garbage():
                 conn, _ = listener.accept()
                 with conn:
                     conn.recv(65536)
-                    conn.sendall(b"garbage\r\n\r\n")
+                    conn.sendall(answer)
 
             server = threading.Thread(target=answer_garbage, daemon=True)
             server.start()
@@ -446,8 +499,144 @@ class TestUpstreamConnection:
         assert not server.is_alive()
         assert response.status == 502
         m = proxy.metrics_snapshot()
-        assert (m.client_requests, m.upstream_requests) == (1, 1)
+        assert (m.client_requests, m.upstream_requests, m.responses_by_status) == (1, 1, {502: 1})
         assert m.client_requests == m.cache_hits_fresh + m.upstream_requests + m.throttled_429
+
+    def test_head_answer_with_length_and_no_body_keeps_the_connection(self, monkeypatch):
+        connects = CountedConnects(monkeypatch)
+        with serve_handler(lambda request, now: Response(200, (("Content-Length", "5"),), b"hello")) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            head = proxy.handle_request(Request("HEAD", "http://a.test/x"), 0.0)
+            get = proxy.handle_request(Request("GET", "http://a.test/x"), 0.0)
+            lines = upstream.log_lines
+        assert (head.status, head.header("Content-Length"), head.body) == (200, "5", b"")
+        assert (get.status, get.header("X-Cache"), get.body) == (200, "MISS", b"hello")
+        assert [line.split(" ")[1] for line in lines] == ["HEAD", "GET"]
+        assert connects.count == 1
+
+    @pytest.mark.parametrize("ending", ["reset", "close"])
+    def test_kept_connection_lost_after_the_status_line_is_not_resent(self, monkeypatch, ending):
+        connects = CountedConnects(monkeypatch)
+        log = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def answer_then_cut():
+                conn, _ = listener.accept()
+                with conn:
+                    for answer in (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", b"HTTP/1.1 200 OK\r\n"):
+                        request = conn.recv(65536)
+                        log.append(request.split(b"\r\n", 1)[0])
+                        conn.sendall(answer)
+                    if ending == "reset":
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                listener.settimeout(0.5)  # a resend would connect again
+                try:
+                    listener.accept()[0].close()
+                    log.append(b"reconnected")
+                except TimeoutError:
+                    pass
+
+            server = threading.Thread(target=answer_then_cut, daemon=True)
+            server.start()
+            address = "127.0.0.1:%d" % listener.getsockname()[1]
+            try:
+                proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(address, req))
+                first = proxy.handle_request(Request("GET", "http://a.test/first"), 0.0)
+                second = proxy.handle_request(Request("GET", "http://a.test/second"), 0.0)
+            finally:
+                wire._take_kept(None)
+            server.join(5)
+        assert not server.is_alive()
+        assert (first.status, first.body, second.status) == (200, b"ok", 502)
+        assert log == [b"GET /first HTTP/1.1", b"GET /second HTTP/1.1"]
+        assert connects.count == 1
+
+
+class OracleSocket:
+    """What http.client.HTTPResponse reads from: one shared stream it may not close."""
+
+    class Stream(io.BufferedReader):
+        def close(self):
+            pass
+
+    def __init__(self, data: bytes):
+        self.stream = self.Stream(io.BytesIO(data))
+
+    def makefile(self, mode):
+        return self.stream
+
+
+def oracle_end_to_end(headers):
+    """http.client's header list without the hop-by-hop fields, filtered as the
+    fetch client filtered it while http.client parsed its answers."""
+    dropped = set(wire._HOP_BY_HOP)
+    for name, value in headers:
+        if name.lower() == "connection":
+            dropped |= {token.strip().lower() for token in value.split(",")}
+    return tuple((name, value) for name, value in headers if name.lower() not in dropped)
+
+
+def generated_answer(rng: random.Random) -> tuple[str, bytes]:
+    """A seeded upstream answer, and the method of the request it answers,
+    drawn from what http.client and the fetch client both read the same way.
+    Left out: a `Keep-Alive` field without `Connection: keep-alive`, which
+    keeps an HTTP/1.0 connection for http.client and closes it for the fetch
+    client; trailing whitespace in a value, which only http.client keeps;
+    interim answers other than 100, which only the fetch client skips; and a
+    chunked 204 or 304, whose body http.client reads though it has none."""
+    method = rng.choice(["GET", "GET", "HEAD"])
+    status = rng.choice([200, 200, 302, 404, 204, 304])
+    version = rng.choice(["HTTP/1.1", "HTTP/1.1", "HTTP/1.0"])
+    body = bytes(rng.randrange(256) for _ in range(rng.choice([0, 1, 17, 300, 9000])))
+    fields = [(rng.choice(["Content-Type", "content-type", "CONTENT-TYPE"]), "text/plain"),
+              ("Memento-Datetime", "Sun, 28 Jun 2009 04:40:51 GMT")]
+    fields += [("X-Repeated", str(i)) for i in range(rng.randrange(3))]
+    connection = rng.choice([None, "close", "keep-alive", "X-Trace", "close, X-Trace", "Keep-Alive, x-trace"])
+    if connection is not None:
+        fields += [("Connection", connection), ("X-Trace", "1")]
+    if connection is not None and "keep-alive" in connection.lower():
+        fields.append(("Keep-Alive", "timeout=5"))
+    framing = rng.choice(["length", "close"] + ([] if status in (204, 304) else ["chunked"]))
+    payload = body
+    if framing == "length":
+        fields.append(("Content-Length", str(len(body))))
+    elif framing == "chunked":
+        fields.append(("Transfer-Encoding", rng.choice(["chunked", "Chunked"])))
+        cuts = sorted(rng.sample(range(len(body) + 1), min(3, len(body) + 1)))
+        pieces = [body[a:b] for a, b in zip([0] + cuts, cuts + [len(body)]) if b > a]
+        payload = b"".join(b"%x%s\r\n%s\r\n" % (len(p), rng.choice([b"", b";ext=1", b" ;a=b"]), p) for p in pieces)
+        payload += b"0\r\n" + rng.choice([b"", b"X-Trailer: t\r\n", b"A: 1\r\nB: 2\r\n"]) + b"\r\n"
+    if status in (204, 304) or method == "HEAD":
+        payload = b""
+    rng.shuffle(fields)
+    head = f"{version} {status} Reason\r\n"
+    head += "".join(f"{name}:{rng.choice(['', ' ', '  ', chr(9)])}{value}\r\n" for name, value in fields)
+    interim = b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n" if rng.random() < 0.2 else b""
+    return method, interim + head.encode("latin-1") + b"\r\n" + payload
+
+
+class TestResponseReader:
+    FOLLOWING = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nnext"
+
+    def test_same_answer_as_http_client(self):
+        rng = random.Random(20221201)
+        for case in range(400):
+            method, answer = generated_answer(rng)
+            sock = OracleSocket(answer + self.FOLLOWING)
+            oracle = http.client.HTTPResponse(sock, method=method)
+            oracle.begin()
+            expected = (oracle.status, oracle_end_to_end(oracle.getheaders()), oracle.read(), oracle.will_close,
+                        sock.stream.read())
+            stream = io.BufferedReader(io.BytesIO(answer + self.FOLLOWING))
+            response, will_close = wire._read_response(stream, method == "HEAD")
+            got = (response.status, response.headers, response.body, will_close, stream.read())
+            assert got == expected, (case, method, answer[:400])
+
+    def test_every_interim_answer_is_skipped(self):
+        answer = (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a.css>\r\n\r\n"
+                  b"HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\ngone")
+        response, will_close = wire._read_response(io.BufferedReader(io.BytesIO(answer)), False)
+        assert (response.status, response.headers, response.body, will_close) == (
+            404, (("Content-Length", "4"),), b"gone", False)
 
 
 class TestClose:
@@ -517,6 +706,13 @@ class TestHelpers:
     def test_http_fetch_raises_on_dead_port(self):
         with pytest.raises(UpstreamUnreachable):
             http_fetch("127.0.0.1:1", Request("GET", "http://x/"))
+
+    @pytest.mark.parametrize("path", ["/a\x01b", "/a\x7fb", "/caf\xe9"], ids=["control", "delete", "non-ascii"])
+    def test_unsendable_target_never_reaches_the_upstream(self, path):
+        with serve_handler(make_sim().serve) as upstream:
+            with pytest.raises(UpstreamUnreachable):
+                http_fetch(upstream.address, Request("GET", f"http://a.test{path}"))
+            assert upstream.log_lines == []
 
     def test_http_fetch_drops_hop_by_hop_headers(self):
         headers = (("Connection", "X-Trace"), ("X-Trace", "1"), ("Keep-Alive", "timeout=5"),
