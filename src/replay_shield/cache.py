@@ -159,7 +159,6 @@ class StoreOutcome(Enum):
     STORED = "stored"
     REJECTED_NO_STORE = "no_store"
     REJECTED_PRIVATE = "private"
-    REJECTED_METHOD = "method_not_cacheable"
     REJECTED_STATUS = "status_not_cacheable"
 
     @property
@@ -200,8 +199,6 @@ class ResponseCache:
         # a shared cache must not store a response meant for one user (RFC 9111 section 3.5)
         if directives.private:
             return StoreOutcome.REJECTED_PRIVATE
-        if key.method != "GET":
-            return StoreOutcome.REJECTED_METHOD
         if response.status not in CACHEABLE_STATUSES:
             return StoreOutcome.REJECTED_STATUS
         # a shared cache takes s-maxage over max-age (RFC 9111 section 5.2.2.10)

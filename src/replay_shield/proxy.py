@@ -115,35 +115,33 @@ class ProxyMetrics:
     responses_by_status: dict[int, int] = field(default_factory=dict)
 
 
-class _MetricsCounter:
-    """Counts each finished request once, so every snapshot conserves
-    client_requests == cache_hits_fresh + upstream_requests + throttled_429."""
+class Outcome(str, Enum):
+    """How a counted request was answered, by the ProxyMetrics field that
+    counts it; every 502 is UPSTREAM. A str hashes in C, a plain Enum does not."""
+
+    HIT = "cache_hits_fresh"
+    UPSTREAM = "upstream_requests"
+    THROTTLED = "throttled_429"
+
+
+class Tally:
+    """Counts per key under one lock, so the counts of one snapshot agree."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._client = self._hit = self._upstream = self._throttled = 0
-        self._by_status: dict[int, int] = {}
+        self._counts: dict = {}
 
-    def count(self, status: int, *, hit: int = 0, upstream: int = 0, throttled: int = 0) -> None:
+    def add(self, key) -> None:
         with self._lock:
-            self._client += 1
-            self._hit += hit
-            self._upstream += upstream
-            self._throttled += throttled
-            self._by_status[status] = self._by_status.get(status, 0) + 1
+            self._counts[key] = self._counts.get(key, 0) + 1
 
-    def snapshot(self) -> ProxyMetrics:
+    def snapshot(self) -> dict:
         with self._lock:
-            return ProxyMetrics(self._client, self._hit, self._upstream, self._throttled, dict(self._by_status))
+            return dict(self._counts)
 
 
 def render_metrics(m: ProxyMetrics) -> str:
-    lines = [
-        f"client_requests {m.client_requests}",
-        f"cache_hits_fresh {m.cache_hits_fresh}",
-        f"upstream_requests {m.upstream_requests}",
-        f"throttled_429 {m.throttled_429}",
-    ]
+    lines = [f"client_requests {m.client_requests}"] + [f"{o.value} {getattr(m, o.value)}" for o in Outcome]
     for status in sorted(m.responses_by_status):
         lines.append(f"status_{status} {m.responses_by_status[status]}")
     return "\n".join(lines) + "\n"
@@ -201,12 +199,18 @@ class ReverseProxy:
         self.upstream = upstream
         self.cache = ResponseCache(config.policy)
         self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
-        self._metrics = _MetricsCounter()
+        self._tally = Tally()  # (Outcome, status) pairs
         self._inflight: dict[CacheKey, _Flight] = {}
         self._inflight_guard = threading.Lock()
 
     def metrics_snapshot(self) -> ProxyMetrics:
-        return self._metrics.snapshot()
+        """Every count from one snapshot; client_requests is their sum."""
+        by_outcome = dict.fromkeys(Outcome, 0)
+        by_status: dict[int, int] = {}
+        for (outcome, status), n in self._tally.snapshot().items():
+            by_outcome[outcome] += n
+            by_status[status] = by_status.get(status, 0) + n
+        return ProxyMetrics(sum(by_outcome.values()), **by_outcome, responses_by_status=by_status)
 
     def handle_request(self, request: Request, now: float) -> Response:
         parts = urlsplit(request.url)
@@ -221,8 +225,7 @@ class ReverseProxy:
             # keyed as the archive keys its own patch throttle: on the canonical target
             decision = self.throttle.check(fuzzy_key_of(target), now)
             if not decision.allowed:
-                self._metrics.count(429, throttled=1)
-                return throttled_response(decision).with_header("X-Cache", "MISS")
+                return self._answer(Outcome.THROTTLED, throttled_response(decision).with_header("X-Cache", "MISS"))
 
         if not self.config.proxy_caching_enabled:
             return self._fetch(request, None, now)
@@ -249,7 +252,7 @@ class ReverseProxy:
             with flight.lock:  # held by the leader until its fetch is done
                 pass
             if flight.failed:
-                return self._unreachable()
+                return self._answer(Outcome.UPSTREAM, _UNREACHABLE)
         try:
             # the leader's answer, or one stored since the lookup above
             found = self.cache.lookup(key, now)
@@ -268,27 +271,26 @@ class ReverseProxy:
     def _hit(self, entry: CachedResponse, now: float) -> Response:
         """The stored response as served from cache: with its Age (RFC 9111
         sections 4 and 5.1) and the HIT marker, replacing any stored ones."""
-        self._metrics.count(entry.status, hit=1)
         headers = tuple((n, v) for n, v in entry.headers if n.lower() not in ("age", "x-cache"))
         headers += (("Age", str(int(now - entry.stored_at))), ("X-Cache", "HIT"))
-        return Response(entry.status, headers, entry.body)
+        return self._answer(Outcome.HIT, Response(entry.status, headers, entry.body))
 
     def _fetch(self, request: Request, key: CacheKey | None, now: float) -> Response:
         """Forward to the upstream; store the answer under `key` unless it is None."""
         try:
             response = self.upstream(request)
         except UpstreamUnreachable:
-            return self._unreachable()
+            return self._answer(Outcome.UPSTREAM, _UNREACHABLE)
         response = inject_cache_control(response, self.config.injection_mode)
         if key is not None:
             directives = parse_cache_control(response.header("Cache-Control"))
             self.cache.store(key, response, directives, now)
-        self._metrics.count(response.status, upstream=1)
-        return response.with_header("X-Cache", "MISS")
+        return self._answer(Outcome.UPSTREAM, response.with_header("X-Cache", "MISS"))
 
-    def _unreachable(self) -> Response:
-        self._metrics.count(502, upstream=1)
-        return _UNREACHABLE
+    def _answer(self, outcome: Outcome, response: Response) -> Response:
+        """`response`, counted once, by `outcome` and by its status."""
+        self._tally.add((outcome, response.status))
+        return response
 
 
 CONFIG_KEYS = frozenset({

@@ -10,14 +10,13 @@ throttling on repeat attempts. No outbound network calls ever happen; the
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
 
 from .httpmsg import Request, Response, origin_form, text_response
-from .proxy import PATCH_PATH_PREFIX, PATCH_THROTTLE_SECONDS, SlidingWindowThrottle, patch_target, throttled_response
+from .proxy import PATCH_PATH_PREFIX, PATCH_THROTTLE_SECONDS, SlidingWindowThrottle, Tally, patch_target, throttled_response
 from .urls import (
     UriR,
     UrlError,
@@ -112,24 +111,18 @@ class UpstreamSimulator:
         self.patch_config = patch
         self.epoch = epoch
         self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
-        self._status_counts: dict[int, int] = {}
-        self._count_lock = threading.Lock()
+        self._tally = Tally()  # statuses served
 
     @property
     def request_count(self) -> int:
         return sum(self.status_counts().values())
 
     def status_counts(self) -> dict[int, int]:
-        with self._count_lock:
-            return dict(self._status_counts)
-
-    def _count(self, status: int) -> None:
-        with self._count_lock:
-            self._status_counts[status] = self._status_counts.get(status, 0) + 1
+        return self._tally.snapshot()
 
     def serve(self, request: Request, now: float) -> Response:
         response = self._dispatch(request, now)
-        self._count(response.status)
+        self._tally.add(response.status)
         return response
 
     def _dispatch(self, request: Request, now: float) -> Response:
@@ -165,7 +158,7 @@ class UpstreamSimulator:
     def patch(self, target_url: str, now: float) -> Response:
         """Attempt to archive `target_url` from the simulated live web."""
         response = self._patch(target_url, now)
-        self._count(response.status)
+        self._tally.add(response.status)
         return response
 
     def _patch(self, target_url: str, now: float) -> Response:

@@ -54,6 +54,10 @@ _SERVER_NAME = "replay-shield"
 # the limits of the standard library's HTTP server and client.
 _MAX_LINE = 65536
 _MAX_FIELDS = 100
+# The largest body relayed from the upstream; a larger one is a 502, refused
+# before it is read. Every body in the builtin scenarios and the bench is under
+# a kilobyte, so only a broken or hostile upstream comes near it.
+_MAX_BODY = 64 * 1024 * 1024
 # A status line, a header field name (RFC 9110 section 5.1) and a chunk size
 # line, extensions allowed (RFC 9112 sections 4 and 7.1.1).
 _STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([1-9][0-9][0-9])(?: [^\r\n]*)?\r?\n")
@@ -226,12 +230,17 @@ def _read_response(rfile, head_only: bool) -> tuple[Response, bool]:
     elif length is not None:
         if not (length.isascii() and length.isdigit()):
             raise _BadMessage(502, f"bad Content-Length {length!r}")
-        size = int(length)
+        # 19 digits or more are over the limit, and int() refuses over 4300
+        size = int(length) if len(length) < 19 else _MAX_BODY + 1
+        if size > _MAX_BODY:
+            raise _BadMessage(502, f"Content-Length {length[:20]} over the relay limit")
         body = rfile.read(size)
         if len(body) < size:
             raise _BadMessage(502, f"body ended after {len(body)} of {length} bytes")
     else:
-        body = rfile.read()  # delimited by the end of the stream
+        body = rfile.read(_MAX_BODY + 1)  # delimited by the end of the stream
+        if len(body) > _MAX_BODY:
+            raise _BadMessage(502, "body over the relay limit")
         will_close = True
     return Response(status, tuple(relayed), body), will_close
 
@@ -239,12 +248,16 @@ def _read_response(rfile, head_only: bool) -> tuple[Response, bool]:
 def _read_chunked(rfile) -> bytes:
     """A chunked body (RFC 9112 section 7.1), extensions and trailers dropped."""
     chunks = []
+    total = 0
     while True:
         line = rfile.readline(_MAX_LINE + 1)
         sized = _CHUNK_SIZE.fullmatch(line)
         if sized is None:
             raise _BadMessage(502, f"bad chunk size line {line[:80]!r}")
         size = int(sized[1], 16)
+        total += size
+        if total > _MAX_BODY:
+            raise _BadMessage(502, "chunked body over the relay limit")
         if size == 0:
             _read_fields(rfile)
             return b"".join(chunks)
@@ -370,7 +383,8 @@ class _WireHandler(socketserver.StreamRequestHandler):
         if len(line) > _MAX_LINE:
             return self._reject(414)
         words = line.decode("latin-1").split()
-        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+        # a target that is not visible ASCII could not be forwarded (RFC 9112 section 3.2)
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1") or _UNSENDABLE.search(words[1]):
             return self._reject(400)
         method, target, version = words
         try:

@@ -20,8 +20,8 @@ from replay_shield.httpmsg import Response
 NO_DIRECTIVES = CacheControlDirectives()
 
 
-def key(url: str, method: str = "GET") -> CacheKey:
-    return CacheKey(method, url)
+def key(url: str) -> CacheKey:
+    return CacheKey("GET", url)
 
 
 def resp404() -> Response:
@@ -135,11 +135,6 @@ class TestStore:
         out = cache.store(key("u"), resp404(), parse_cache_control("no-store"), now=0.0)
         assert out is StoreOutcome.REJECTED_NO_STORE
         assert cache.lookup(key("u"), now=0.0).state is LookupState.MISS
-
-    def test_non_get_rejected(self):
-        cache = ResponseCache(CachePolicy())
-        out = cache.store(key("u", method="POST"), resp404(), NO_DIRECTIVES, now=0.0)
-        assert out is StoreOutcome.REJECTED_METHOD
 
     def test_status_not_cacheable(self):
         cache = ResponseCache(CachePolicy())

@@ -11,9 +11,11 @@ from replay_shield.configtext import ConfigError
 from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import (
     InjectionMode,
+    Outcome,
     ProxyConfig,
     ReverseProxy,
     SlidingWindowThrottle,
+    Tally,
     ThrottleConfig,
     UpstreamUnreachable,
     inject_cache_control,
@@ -331,6 +333,28 @@ class TestMetrics:
             proxy.handle_request(get(MISSING), now=float(i))
         assert proxy.metrics_snapshot().upstream_requests == 10
 
+    def test_tally_loses_no_count_under_contention(self):
+        import sys
+        import threading
+
+        tally = Tally()
+
+        def add_many():
+            for _ in range(20000):
+                tally.add((Outcome.HIT, 404))
+
+        threads = [threading.Thread(target=add_many) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert tally.snapshot() == {(Outcome.HIT, 404): 160000}
+
     def test_render_format(self):
         proxy = ReverseProxy(ProxyConfig(), FakeUpstream())
         proxy.handle_request(get("http://a/b"), now=0.0)
@@ -363,6 +387,65 @@ class TestConservation:
         for _ in range(100):
             m, _ = run_random_trace(rng, caching=rng.random() < 0.5, n=1000)
             assert m.client_requests == m.cache_hits_fresh + m.upstream_requests + m.throttled_429
+            assert m.client_requests == sum(m.responses_by_status.values())
+
+    def test_every_snapshot_conserves_under_concurrent_requests(self):
+        import sys
+        import threading
+
+        def upstream(request):
+            if request.url.endswith("/down"):
+                raise UpstreamUnreachable("refused")
+            return Response(404, (), b"")
+
+        cfg = ProxyConfig(policy=CachePolicy(default_max_age=10**6), throttle=ThrottleConfig(enabled=True))
+        proxy = ReverseProxy(cfg, upstream)
+        for i in range(5):
+            proxy.handle_request(get(f"http://a/warm{i}"), now=0.0)
+        rng = random.Random(16)
+        chunks = []
+        for _ in range(8):
+            urls = [f"http://a/warm{i % 5}" for i in range(20)] + [f"http://a/new{i % 10}" for i in range(20)]
+            urls += ["http://a/down"] * 10 + ["http://a/save/_embed/http://x/p"] * 10
+            rng.shuffle(urls)
+            chunks.append(urls)
+
+        def client(urls):
+            for u in urls:
+                proxy.handle_request(get(u), now=0.0)
+
+        done = threading.Event()
+        snapshots, broken = [], []
+
+        def reader():
+            while not done.is_set():
+                m = proxy.metrics_snapshot()
+                snapshots.append(m)
+                by_outcome = m.cache_hits_fresh + m.upstream_requests + m.throttled_429
+                if not m.client_requests == by_outcome == sum(m.responses_by_status.values()):
+                    broken.append(m)
+
+        threads = [threading.Thread(target=client, args=(urls,)) for urls in chunks]
+        watcher = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            watcher.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            done.set()
+            watcher.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [watcher])
+        assert snapshots and broken == []
+        m = proxy.metrics_snapshot()
+        # warm keys always hit; each new key is fetched once; every /down is
+        # its own 502; one patch request passes the throttle
+        assert (m.client_requests, m.cache_hits_fresh, m.upstream_requests, m.throttled_429) == (485, 310, 96, 79)
+        assert m.responses_by_status == {404: 326, 502: 80, 429: 79}
 
     def test_distinct_url_upper_bound(self):
         rng = random.Random(200)

@@ -120,6 +120,36 @@ class TestServe:
         assert sim.request_count == 2
         assert sim.status_counts() == {200: 1, 404: 1}
 
+    def test_counts_agree_under_concurrent_requests(self):
+        import sys
+        import threading
+
+        sim = UpstreamSimulator(store_with_loader0(), patch=PatchConfig(enabled=True))
+        urls = [
+            URIM,  # the capture: 200
+            f"http://archive.test/wayback/20090628050000im_/{LOADER_URL}",  # the nearest capture: 302
+            URIM.replace("loader-0", "loader-9"),  # not held, so a patch redirect: 302
+            "http://archive.test/save/_embed/http://x.pt/a.jpg",  # 404 once, then 429
+        ] * 25
+
+        def client():
+            for u in urls:
+                sim.serve(get(u), now=0.0)
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sim.request_count == sum(sim.status_counts().values()) == 8 * len(urls)
+        assert sim.status_counts() == {200: 200, 302: 400, 404: 1, 429: 199}
+
 
 class TestPatch:
     def live_store(self) -> MementoStore:

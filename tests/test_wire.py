@@ -244,6 +244,36 @@ def status_lines(answer: bytes) -> list[bytes]:
     return re.findall(rb"HTTP/1\.1 \d{3} [^\r]*", answer)
 
 
+def one_shot_upstream(listener: socket.socket, answer: bytes) -> threading.Thread:
+    """A started thread that takes one connection on `listener`, reads a
+    request, sends `answer` and closes."""
+    def answer_once():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(answer)
+
+    server = threading.Thread(target=answer_once, daemon=True)
+    server.start()
+    return server
+
+
+def fetch_from_one_shot_upstream(answer: bytes):
+    """A GET through a proxy whose upstream answers it with `answer`; returns
+    the proxy's response and its metrics."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = one_shot_upstream(listener, answer)
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+        proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(address, req))
+        try:
+            response = proxy.handle_request(Request("GET", "http://a.test/x"), 0.0)
+        finally:
+            wire._take_kept(None)
+        server.join(5)
+    assert not server.is_alive()
+    return response, proxy.metrics_snapshot()
+
+
 class TestRequestGates:
     """Requests the server will not read are answered once, then the connection closes."""
 
@@ -279,6 +309,19 @@ class TestRequestGates:
         assert line.split(b" ")[1] == status
         assert b"\r\nConnection: close\r\n" in answer
         assert seen == []
+
+    @pytest.mark.parametrize("path", ["/a\x01b", "/a\x7fb", "/caf\xe9"], ids=["control", "delete", "non-ascii"])
+    def test_unsendable_target_refused_before_the_proxy_counts_it(self, path):
+        with serve_handler(make_sim().serve) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                answer = raw_exchange(front.address, f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode("latin-1"))
+                front_lines = front.log_lines
+            upstream_lines = upstream.log_lines
+        assert status_lines(answer) == [b"HTTP/1.1 400 Bad Request"]
+        assert b"\r\nConnection: close\r\n" in answer
+        assert proxy.metrics_snapshot().client_requests == 0
+        assert front_lines == upstream_lines == []
 
     def test_hundred_header_fields_accepted(self, server):
         address, seen = server
@@ -483,24 +526,43 @@ class TestUpstreamConnection:
              "101-fields", "long-field", "head-cut-short"],
     )
     def test_malformed_upstream_answer_is_a_counted_502(self, answer):
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-            def answer_garbage():
-                conn, _ = listener.accept()
-                with conn:
-                    conn.recv(65536)
-                    conn.sendall(answer)
-
-            server = threading.Thread(target=answer_garbage, daemon=True)
-            server.start()
-            address = "127.0.0.1:%d" % listener.getsockname()[1]
-            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(address, req))
-            response = proxy.handle_request(Request("GET", "http://a.test/x"), 0.0)
-            server.join(5)
-        assert not server.is_alive()
+        response, m = fetch_from_one_shot_upstream(answer)
         assert response.status == 502
-        m = proxy.metrics_snapshot()
         assert (m.client_requests, m.upstream_requests, m.responses_by_status) == (1, 1, {502: 1})
         assert m.client_requests == m.cache_hits_fresh + m.upstream_requests + m.throttled_429
+
+    @pytest.mark.parametrize("framing", ["length", "chunked", "close"])
+    @pytest.mark.parametrize("size, status", [(8, 200), (9, 502)], ids=["at-limit", "over-limit"])
+    def test_body_over_the_relay_limit_is_a_counted_502(self, monkeypatch, framing, size, status):
+        monkeypatch.setattr(wire, "_MAX_BODY", 8)
+        body = b"x" * size
+        answer = {
+            "length": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % size + body,
+            # the running total crosses the limit in the second chunk
+            "chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nxxxxx\r\n%x\r\n%s\r\n0\r\n\r\n"
+                       % (size - 5, body[5:]),
+            "close": b"HTTP/1.1 200 OK\r\n\r\n" + body,
+        }[framing]
+        response, m = fetch_from_one_shot_upstream(answer)
+        assert response.status == status
+        assert response.body == (body if status == 200 else b"upstream unreachable")
+        assert (m.client_requests, m.upstream_requests, m.responses_by_status) == (1, 1, {status: 1})
+
+    # the second is past the 4300 digits int() converts
+    @pytest.mark.parametrize("length", [b"99999999999999", b"9" * 5000], ids=["14-digits", "5000-digits"])
+    def test_huge_declared_length_is_a_counted_502_through_the_wire(self, caplog, length):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = "127.0.0.1:%d" % listener.getsockname()[1]
+            server = one_shot_upstream(listener, b"HTTP/1.1 200 OK\r\nContent-Length: " + length + b"\r\n\r\n")
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(address, req))
+            with serve_handler(proxy.handle_request) as front:
+                status, _, _ = client_get(front.address, "/x")
+            server.join(5)
+        assert not server.is_alive()
+        assert status == 502
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.upstream_requests, m.responses_by_status) == (1, 1, {502: 1})
 
     def test_head_answer_with_length_and_no_body_keeps_the_connection(self, monkeypatch):
         connects = CountedConnects(monkeypatch)
