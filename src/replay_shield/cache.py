@@ -65,6 +65,13 @@ def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
     return CacheControlDirectives(public, private, no_store, no_cache, max_age, s_maxage)
 
 
+def cache_control_of(response: Response) -> CacheControlDirectives:
+    """The directives of every Cache-Control field line of `response`, read as
+    one list (RFC 9110 section 5.3): a `no-store` on a second line counts."""
+    lines = [v for n, v in response.headers if n.lower() == "cache-control"]
+    return parse_cache_control(", ".join(lines))
+
+
 class KeyMode(str, Enum):
     EXACT = "exact"
     CANONICAL = "canonical"
@@ -122,14 +129,20 @@ class CachedResponse:
         return Response(self.status, self.headers, self.body)
 
 
+# the fields a stored answer is kept without: a hit adds its own
+_ADDED_ON_HIT = frozenset({"age", "x-cache"})
+
+
 def cache_entry(response: Response, now: float, freshness_lifetime: float) -> CachedResponse:
     """`response`, received at `now`, as an entry that is fresh for
     `freshness_lifetime` seconds from its generation. The Age it arrived with
     (RFC 9111 section 4.2.3; missing or malformed counts as 0) is already spent,
-    so the entry is dated that many seconds before `now`."""
+    so the entry is dated that many seconds before `now` and keeps no Age, nor
+    the X-Cache marker of the cache it came through."""
     age = (response.header("Age") or "").strip()
     arrival_age = int(age) if age.isascii() and age.isdigit() else 0
-    return CachedResponse(response.status, response.headers, response.body, now - arrival_age, freshness_lifetime)
+    headers = tuple(field for field in response.headers if field[0].lower() not in _ADDED_ON_HIT)
+    return CachedResponse(response.status, headers, response.body, now - arrival_age, freshness_lifetime)
 
 
 def _expires_lifetime(response: Response) -> float:

@@ -17,18 +17,19 @@ from urllib.parse import urlsplit
 
 from . import configtext
 from .cache import (
+    FUZZY_RULES,
     CacheKey,
     CachePolicy,
     CachedResponse,
     KeyMode,
     LookupState,
     ResponseCache,
+    cache_control_of,
     make_cache_key,
-    parse_cache_control,
 )
 from .configtext import ConfigError
 from .httpmsg import Request, Response, origin_form, text_response
-from .urls import fuzzy_key_of
+from .urls import fuzzy_key_of, strip_query_text
 
 INJECTION_HEADER = "public, max-age=600"
 METRICS_PATH = "/__metrics"
@@ -170,7 +171,9 @@ def inject_cache_control(response: Response, mode: InjectionMode) -> Response:
     return response.with_header("Cache-Control", INJECTION_HEADER)
 
 
-# the answer when the upstream cannot be reached; Response is frozen, so one serves all
+# the answers to a malformed request and when the upstream cannot be reached;
+# Response is frozen, so one serves all
+_BAD_REQUEST = text_response(400, "bad request").with_header("X-Cache", "MISS")
 _UNREACHABLE = text_response(502, "upstream unreachable").with_header("X-Cache", "MISS")
 
 
@@ -192,6 +195,13 @@ class ReverseProxy:
     `upstream` maps a Request to a Response; it may be the in-process simulator
     or a socket client. It signals connection failure with UpstreamUnreachable.
     Concurrent misses on one cache key share a single upstream fetch.
+
+    A URL's cache key is derived once: canonical and fuzzy keys are memoized
+    by request URL, under fuzzy keys with the query segments FUZZY_RULES
+    strips already removed, so each cache-busted poll finds the key of the
+    polls before it. The memo holds at most `policy.capacity` URLs and is
+    emptied when full: only unique-URL traffic fills it, and there it cannot
+    help. An exact key is the URL itself, so it has no memo.
     """
 
     def __init__(self, config: ProxyConfig, upstream: Callable[[Request], Response]):
@@ -202,6 +212,12 @@ class ReverseProxy:
         self._tally = Tally()  # (Outcome, status) pairs
         self._inflight: dict[CacheKey, _Flight] = {}
         self._inflight_guard = threading.Lock()
+        key_mode = config.policy.key_mode
+        self._keys: dict[str, CacheKey] | None = (
+            {} if config.proxy_caching_enabled and key_mode is not KeyMode.EXACT else None
+        )
+        self._keys_strip = key_mode is KeyMode.FUZZY
+        self._keys_lock = threading.Lock()
 
     def metrics_snapshot(self) -> ProxyMetrics:
         """Every count from one snapshot; client_requests is their sum."""
@@ -213,14 +229,25 @@ class ReverseProxy:
         return ProxyMetrics(sum(by_outcome.values()), **by_outcome, responses_by_status=by_status)
 
     def handle_request(self, request: Request, now: float) -> Response:
-        parts = urlsplit(request.url)
+        url = request.url
+        memo = self._keys
+        if memo is not None:
+            # a memoized URL parsed, and is neither the metrics path nor a patch
+            # target; one that matches it as text differs in stripped segments only
+            memo_url = strip_query_text(url, FUZZY_RULES) if self._keys_strip else url
+            key = memo.get(memo_url)
+            if key is not None:
+                if request.method not in ("GET", "HEAD"):
+                    return _BAD_REQUEST
+                return self._cached(request, key, now)
+        parts = urlsplit(url)
         if parts.path == METRICS_PATH:
             return text_response(200, render_metrics(self.metrics_snapshot()))
         if request.method not in ("GET", "HEAD") or not parts.scheme or not parts.netloc:
             # malformed requests never enter the counted pipeline
-            return text_response(400, "bad request").with_header("X-Cache", "MISS")
+            return _BAD_REQUEST
 
-        target = patch_target(request.url) if self.config.throttle.enabled else None
+        target = patch_target(url) if self.config.throttle.enabled else None
         if target is not None:
             # keyed as the archive keys its own patch throttle: on the canonical target
             decision = self.throttle.check(fuzzy_key_of(target), now)
@@ -229,9 +256,19 @@ class ReverseProxy:
 
         if not self.config.proxy_caching_enabled:
             return self._fetch(request, None, now)
-        # a HEAD is answered from the stored GET (RFC 9110 section 9.3.2); the
-        # wire sends its head alone
-        key = make_cache_key(request.url, self.config.policy)
+        key = make_cache_key(url, self.config.policy)
+        # a key that is the URL itself is the fallback for one that does not parse
+        if memo is not None and key.key != url and not parts.path.startswith(PATCH_PATH_PREFIX):
+            with self._keys_lock:
+                if len(memo) >= self.config.policy.capacity:
+                    memo.clear()
+                memo[memo_url] = key
+        return self._cached(request, key, now)
+
+    def _cached(self, request: Request, key: CacheKey, now: float) -> Response:
+        """Answer a GET or HEAD from the entry under `key`, or fetch and store it.
+        A HEAD is answered from the stored GET (RFC 9110 section 9.3.2); the wire
+        sends its head alone."""
         found = self.cache.lookup(key, now)
         if found.state is LookupState.FRESH:
             return self._hit(found.entry, now)
@@ -269,10 +306,10 @@ class ReverseProxy:
                 flight.lock.release()
 
     def _hit(self, entry: CachedResponse, now: float) -> Response:
-        """The stored response as served from cache: with its Age (RFC 9111
-        sections 4 and 5.1) and the HIT marker, replacing any stored ones."""
-        headers = tuple((n, v) for n, v in entry.headers if n.lower() not in ("age", "x-cache"))
-        headers += (("Age", str(int(now - entry.stored_at))), ("X-Cache", "HIT"))
+        """The stored response as served from cache: an entry is kept without
+        Age and X-Cache, so its Age (RFC 9111 sections 4 and 5.1) and the HIT
+        marker are appended."""
+        headers = entry.headers + (("Age", str(int(now - entry.stored_at))), ("X-Cache", "HIT"))
         return self._answer(Outcome.HIT, Response(entry.status, headers, entry.body))
 
     def _fetch(self, request: Request, key: CacheKey | None, now: float) -> Response:
@@ -283,7 +320,7 @@ class ReverseProxy:
             return self._answer(Outcome.UPSTREAM, _UNREACHABLE)
         response = inject_cache_control(response, self.config.injection_mode)
         if key is not None:
-            directives = parse_cache_control(response.header("Cache-Control"))
+            directives = cache_control_of(response)
             self.cache.store(key, response, directives, now)
         return self._answer(Outcome.UPSTREAM, response.with_header("X-Cache", "MISS"))
 

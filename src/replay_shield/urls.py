@@ -112,6 +112,29 @@ class FuzzyRuleSet:
         return False
 
 
+def strip_query_text(url: str, rules: FuzzyRuleSet) -> str:
+    """`url` as text without the query segments `rules` strips. The query is
+    where parse_urir finds it: after the first "?" before any "#". A query that
+    is empty, or that the strip empties, loses its "?" too, so two URLs with the
+    same result parse alike and have the same key under `rules`. Nothing is
+    decoded or reordered."""
+    fragment_at = url.find("#")
+    if fragment_at < 0:
+        fragment_at = len(url)
+    query_at = url.find("?", 0, fragment_at)
+    if query_at < 0:
+        return url
+    segments = url[query_at + 1:fragment_at].split("&") if query_at + 1 < fragment_at else []
+    kept = []
+    for seg in segments:
+        name, sep, value = seg.partition("=")
+        if not rules.strips(name, value if sep else None):
+            kept.append(seg)
+    if kept:
+        return url if len(kept) == len(segments) else f"{url[:query_at]}?{'&'.join(kept)}{url[fragment_at:]}"
+    return url[:query_at] + url[fragment_at:]
+
+
 EMPTY_RULES = FuzzyRuleSet()
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 from urllib.parse import urljoin
 
 from . import configtext
-from .cache import CachedResponse, cache_entry, parse_cache_control
+from .cache import CachedResponse, cache_control_of, cache_entry
 from .configtext import ConfigError
 from .httpmsg import Request, Response
 
@@ -222,7 +222,7 @@ def browser_cache_decide(response: Response) -> float | None:
     responses are kept only when Cache-Control grants them a positive max-age.
     A browser cache is private, so s-maxage does not apply to it.
     """
-    directives = parse_cache_control(response.header("Cache-Control"))
+    directives = cache_control_of(response)
     if directives.no_store:
         return None
     if response.status == 200:

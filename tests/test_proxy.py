@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
-from replay_shield.cache import CachePolicy, KeyMode
+from replay_shield.cache import CachePolicy, KeyMode, make_cache_key
 from replay_shield.configtext import ConfigError
 from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import (
@@ -77,6 +79,37 @@ class TestHandleRequest:
         assert (names.count("age"), names.count("x-cache")) == (1, 1)
         # the response arrived 100 s old and has spent 3 s in the cache
         assert (hit.header("Age"), hit.header("X-Cache")) == ("103", "HIT")
+
+    def test_hit_shape_one_age_one_marker_the_rest_in_order(self):
+        origin = (("Content-Type", "text/html"), ("Age", "5"), ("ETag", '"v1"'), ("X-Cache", "MISS"), ("Link", "<a>"))
+        proxy = ReverseProxy(ProxyConfig(), lambda request: Response(404, origin, b"gone"))
+        miss = proxy.handle_request(get(MISSING), now=0.0)
+        hit = proxy.handle_request(get(MISSING), now=2.0)
+        names = [name.lower() for name, _ in hit.headers]
+        assert (names.count("age"), names.count("x-cache")) == (1, 1)
+        # 5 s old on arrival, then 2 s in the cache
+        assert hit.headers[-2:] == (("Age", "7"), ("X-Cache", "HIT"))
+
+        def end_to_end(response):
+            return [field for field in response.headers if field[0] not in ("Age", "X-Cache")]
+
+        assert end_to_end(hit) == end_to_end(miss) == [
+            ("Content-Type", "text/html"), ("ETag", '"v1"'), ("Link", "<a>"), ("Cache-Control", "public, max-age=600")
+        ]
+
+    @pytest.mark.parametrize("mode", [InjectionMode.OFF, InjectionMode.MISSING_ONLY])
+    @pytest.mark.parametrize("lines", [("public", "no-store"), ("max-age=60", "private")])
+    def test_cache_control_read_from_every_field_line(self, mode, lines):
+        calls = []
+
+        def upstream(request):
+            calls.append(request.url)
+            return Response(404, tuple(("Cache-Control", line) for line in lines), b"gone")
+
+        proxy = ReverseProxy(ProxyConfig(injection_mode=mode), upstream)
+        assert [proxy.handle_request(get(MISSING), now=float(t)).header("X-Cache") for t in (0, 1)] == ["MISS", "MISS"]
+        assert len(calls) == 2
+        assert len(proxy.cache) == 0
 
     def test_arrival_age_shortens_freshness(self):
         calls = []
@@ -487,6 +520,103 @@ class TestKeyModes:
         for i in range(50):
             proxy.handle_request(get(f"http://a.test/feed?ts=163048967512{i:02d}"), now=float(i))
         assert len(upstream.calls) == 1
+
+
+FEED = "http://archive.test/wayback/20090628044051/http://site.pt/feed?lang=en&_={}"
+
+
+def fuzzy_proxy(capacity: int = 10_000, **config) -> ReverseProxy:
+    policy = CachePolicy(key_mode=KeyMode.FUZZY, capacity=capacity)
+    return ReverseProxy(ProxyConfig(policy=policy, **config), FakeUpstream())
+
+
+class TestKeyMemo:
+    def test_a_cache_busted_poll_uses_the_memo(self):
+        proxy = fuzzy_proxy()
+        markers = [proxy.handle_request(get(FEED.format(1697000000000 + i)), now=0.0).header("X-Cache") for i in range(5)]
+        assert markers == ["MISS"] + ["HIT"] * 4
+        assert list(proxy._keys) == ["http://archive.test/wayback/20090628044051/http://site.pt/feed?lang=en"]
+
+    def test_exact_keys_have_no_memo(self):
+        proxy = ReverseProxy(ProxyConfig(), FakeUpstream())
+        proxy.handle_request(get(MISSING), now=0.0)
+        assert proxy._keys is None
+
+    def test_distinct_urls_never_outgrow_capacity(self):
+        proxy = fuzzy_proxy(capacity=10)
+        sizes = []
+        for i in range(30):
+            proxy.handle_request(get(f"http://a.test/r{i}?_=1697000000000"), now=0.0)
+            sizes.append(len(proxy._keys))
+        assert max(sizes) == 10
+        assert proxy.metrics_snapshot().upstream_requests == 30
+
+    def test_post_on_a_memo_hit_is_an_uncounted_400(self):
+        proxy = fuzzy_proxy()
+        proxy.handle_request(get(FEED.format(1697000000000)), now=0.0)
+        refused = proxy.handle_request(Request("POST", FEED.format(1697000000001)), now=1.0)
+        assert (refused.status, refused.header("X-Cache")) == (400, "MISS")
+        assert proxy.metrics_snapshot().client_requests == 1
+
+    def test_metrics_path_never_memoized(self):
+        proxy = fuzzy_proxy()
+        for url in ("http://a.test/__metrics", "http://a.test/__metrics?_=1697000000000") * 2:
+            assert proxy.handle_request(get(url), now=0.0).body.startswith(b"client_requests 0\n")
+        assert proxy._keys == {}
+
+    def test_throttle_still_answers_a_repeated_patch_target(self):
+        proxy = fuzzy_proxy(throttle=ThrottleConfig(enabled=True))
+        url = "http://a.test/save/_embed/http://x/y.jpg?_=1697000000000"
+        assert [proxy.handle_request(get(url), now=float(t)).status for t in range(3)] == [200, 429, 429]
+        assert proxy._keys == {}
+
+    def test_nothing_memoized_with_caching_off(self):
+        proxy = fuzzy_proxy(proxy_caching_enabled=False)
+        for i in range(3):
+            proxy.handle_request(get(FEED.format(1697000000000 + i)), now=0.0)
+        assert not proxy._keys
+        assert proxy.metrics_snapshot().upstream_requests == 3
+
+    def test_memo_keys_and_counts_hold_under_contention(self):
+        proxy = fuzzy_proxy(capacity=8, throttle=ThrottleConfig(enabled=True))
+        local = threading.local()
+        wrong = []
+        lookup = proxy.cache.lookup
+
+        def checked_lookup(key, now):
+            if key != make_cache_key(local.url, proxy.config.policy):
+                wrong.append((local.url, key))
+            return lookup(key, now)
+
+        proxy.cache.lookup = checked_lookup
+        rng = random.Random(8)
+        chunks = [
+            [f"http://a.test/r{rng.randrange(12)}?v={rng.randrange(3)}&_={rng.randrange(10**12, 10**13)}" for _ in range(300)]
+            + ["http://a.test/save/_embed/http://x/p", "http://a.test/__metrics"] * 5
+            for _ in range(8)
+        ]
+
+        def client(urls):
+            for url in urls:
+                local.url = url
+                proxy.handle_request(get(url), now=0.0)
+
+        threads = [threading.Thread(target=client, args=(urls,)) for urls in chunks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(proxy._keys) <= 8
+        m = proxy.metrics_snapshot()
+        assert m.client_requests == 8 * 305 == m.cache_hits_fresh + m.upstream_requests + m.throttled_429
+        assert m.client_requests == sum(m.responses_by_status.values())
 
 
 class TestCoalescing:

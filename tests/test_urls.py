@@ -4,25 +4,34 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from datetime import datetime, timezone
 from urllib.parse import urlsplit
 
 import pytest
 
+from replay_shield import proxy as proxy_module
+from replay_shield.cache import FUZZY_RULES, CachePolicy, KeyMode, make_cache_key
+from replay_shield.httpmsg import Request, Response
+from replay_shield.proxy import ProxyConfig, ReverseProxy
 from replay_shield.urls import (
     EMPTY_RULES,
+    NUMERIC_PARAM_DIGITS,
     FuzzyRuleSet,
     InvalidTimestamp,
     MalformedTarget,
     NoTimestampSegment,
+    UrlError,
     UriR,
     canonical_form,
     canonicalize,
     format_query,
     format_urim,
+    fuzzy_key_of,
     fuzzy_reduce,
     parse_urim,
     parse_urir,
+    strip_query_text,
     timestamp14_datetime,
     validate_timestamp14,
 )
@@ -215,6 +224,115 @@ def random_url(rng: random.Random) -> str:
         names = rng.sample(["a", "b", "ts", "z"], k=rng.randint(1, 3))
         parts += "?" + "&".join(f"{n}={rng.randint(0, 9)}" for n in names)
     return parts
+
+
+def random_edge_url(rng: random.Random) -> str:
+    """A URL from the edges of key derivation: cache busters of 9 digits or
+    more, values of exactly NUMERIC_PARAM_DIGITS digits, parameters without a
+    value, empty "&&" segments, a fragment holding "?" or "&", default and other
+    ports, uppercase hosts, and URLs that do not parse (an empty host, another
+    scheme). The pools are small, so URLs often differ in one segment only."""
+
+    def digits(n: int) -> str:
+        return "".join(rng.choice("0123456789") for _ in range(n))
+
+    scheme = rng.choice(["http", "https", "HTTP", "ftp"])
+    host = rng.choice(["example.org", "Example.ORG", "a.b.test", ""])
+    port = rng.choice(["", "", ":80", ":443", ":8080", ":"])
+    path = rng.choice(["", "/", "/feed", "/img/a%20b.png", "/save/_embed/http://x/p"])
+    segments = [
+        rng.choice([
+            f"_={digits(13)}",
+            f"v={digits(rng.randint(NUMERIC_PARAM_DIGITS + 1, 12))}",
+            f"n={digits(NUMERIC_PARAM_DIGITS)}",
+            "flag",
+            "",
+            "a=1",
+            "b=",
+        ])
+        for _ in range(rng.randint(0, 4))
+    ]
+    query = "?" + "&".join(segments) if segments or rng.random() < 0.2 else ""
+    fragment = rng.choice(["", "", "#top", "#x?y=1", f"#a&_={digits(13)}", "#"])
+    return f"{scheme}://{host}{port}{path}{query}{fragment}"
+
+
+def parses(url: str) -> bool:
+    try:
+        parse_urir(url)
+    except UrlError:
+        return False
+    return True
+
+
+class TestStripQueryText:
+    @pytest.mark.parametrize(
+        "url, stripped",
+        [
+            ("http://h/p", "http://h/p"),
+            ("http://h/p?_=1234567890", "http://h/p"),
+            ("http://h/p?a=1&_=1234567890&b", "http://h/p?a=1&b"),
+            ("http://h/p?n=12345678", "http://h/p?n=12345678"),
+            ("http://h/p?", "http://h/p"),
+            ("http://h/p?&_=123456789", "http://h/p?"),
+            ("http://h/p?flag&&_=123456789", "http://h/p?flag&"),
+            ("http://h/p#x?_=1234567890", "http://h/p#x?_=1234567890"),
+            ("http://h/p?_=123456789#a&_=123456789", "http://h/p#a&_=123456789"),
+        ],
+    )
+    def test_cases(self, url, stripped):
+        assert strip_query_text(url, FUZZY_RULES) == stripped
+
+    def test_same_text_parses_alike_with_the_same_key(self):
+        rng = random.Random(17)
+        groups: dict[str, set[str]] = {}
+        for _ in range(3000):
+            url = random_edge_url(rng)
+            groups.setdefault(strip_query_text(url, FUZZY_RULES), set()).add(url)
+        merged = [urls for urls in groups.values() if len(urls) > 1]
+        assert len(merged) > 50
+        for urls in merged:
+            if parses(next(iter(urls))):
+                assert all(parses(u) for u in urls)
+                assert len({fuzzy_key_of(u, FUZZY_RULES) for u in urls}) == 1
+            else:
+                assert not any(parses(u) for u in urls)
+
+
+class TestKeyMemo:
+    @pytest.mark.parametrize("mode", list(KeyMode))
+    def test_the_key_a_request_uses_is_make_cache_key(self, mode, monkeypatch):
+        policy = CachePolicy(key_mode=mode)
+        proxy = ReverseProxy(ProxyConfig(policy=policy), lambda request: Response(404))
+        derived = []
+        derive = proxy_module.make_cache_key
+        monkeypatch.setattr(proxy_module, "make_cache_key", lambda url, p: derived.append(url) or derive(url, p))
+        used = []
+        lookup = proxy.cache.lookup
+        proxy.cache.lookup = lambda key, now: used.append(key) or lookup(key, now)
+
+        rng = random.Random(6)
+        pool = [random_edge_url(rng) for _ in range(300)]
+
+        def redrawn(digits: re.Match) -> str:
+            return "=" + "".join(rng.choice("0123456789") for _ in digits[1])
+
+        seen: set[str] = set()
+        memo_hits = new_url_memo_hits = 0
+        for _ in range(3000):
+            # a pooled URL, its busters drawn again
+            url = re.sub(r"=(\d{9,})", redrawn, rng.choice(pool))
+            used.clear()
+            derivations = len(derived)
+            if proxy.handle_request(Request("GET", url), 0.0).status == 400:
+                continue  # no scheme or host: never keyed
+            assert set(used) == {make_cache_key(url, policy)}, url
+            if len(derived) == derivations:
+                memo_hits += 1
+                new_url_memo_hits += url not in seen
+            seen.add(url)
+        # only fuzzy keys share a memo entry between two URLs: the stripped form
+        assert (memo_hits > 0, new_url_memo_hits > 0) == (mode is not KeyMode.EXACT, mode is KeyMode.FUZZY)
 
 
 class TestProperties:

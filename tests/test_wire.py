@@ -19,7 +19,7 @@ import pytest
 from replay_shield import wire
 from replay_shield.cache import CachePolicy
 from replay_shield.httpmsg import Request, Response
-from replay_shield.proxy import ProxyConfig, ReverseProxy, ThrottleConfig, UpstreamUnreachable
+from replay_shield.proxy import InjectionMode, ProxyConfig, ReverseProxy, ThrottleConfig, UpstreamUnreachable
 from replay_shield.upstream import MementoStore, PatchConfig, UpstreamSimulator, parse_manifest_text
 from replay_shield.wire import LOG_LINES_KEPT, http_fetch, origin_form, serve_handler, split_hostport
 
@@ -193,6 +193,49 @@ class TestProxyOverSockets:
                     assert raw.getheader("Age").isdigit()
                 finally:
                     conn.close()
+
+    def test_hit_shape_over_the_wire(self):
+        origin = (("Content-Type", "text/html"), ("Age", "5"), ("ETag", '"v1"'), ("X-Cache", "MISS"), ("Link", "<a>"))
+        with serve_handler(lambda request, now: Response(404, origin, b"gone")) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                host, port = front.address.split(":")
+                conn = http.client.HTTPConnection(host, int(port), timeout=5)
+                try:
+                    answers = []
+                    for _ in range(2):
+                        conn.request("GET", "/wayback/20090628044051im_/http://site.pt/gone.png")
+                        raw = conn.getresponse()
+                        raw.read()
+                        answers.append(raw.getheaders())
+                finally:
+                    conn.close()
+        miss, hit = answers
+        names = [name.lower() for name, _ in hit]
+        assert (names.count("age"), names.count("x-cache")) == (1, 1)
+        assert dict(hit)["X-Cache"] == "HIT" and int(dict(hit)["Age"]) >= 5
+
+        # the upstream's Server, Date and Content-Length are relayed and stored too
+        end_to_end = [field for field in hit if field[0] not in ("Age", "X-Cache")]
+        assert end_to_end == [field for field in miss if field[0] not in ("Age", "X-Cache")]
+        assert [name for name, _ in end_to_end][:3] == ["Content-Type", "ETag", "Link"]
+
+    @pytest.mark.parametrize("lines", [(b"public", b"no-store"), (b"max-age=60", b"private")])
+    def test_cache_control_on_a_second_field_line_counts(self, lines):
+        head = b"HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n"
+        answer = head + b"".join(b"Cache-Control: %s\r\n" % line for line in lines) + b"\r\ngone"
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            servers = [one_shot_upstream(listener, answer) for _ in range(2)]
+            address = "127.0.0.1:%d" % listener.getsockname()[1]
+            proxy = ReverseProxy(ProxyConfig(injection_mode=InjectionMode.OFF), lambda req: http_fetch(address, req))
+            with serve_handler(proxy.handle_request) as front:
+                path = "/wayback/20090628044051im_/http://site.pt/gone.png"
+                markers = [client_get(front.address, path)[1]["X-Cache"] for _ in range(2)]
+            for server in servers:
+                server.join(5)
+        assert markers == ["MISS", "MISS"]
+        assert proxy.metrics_snapshot().upstream_requests == 2
+        assert len(proxy.cache) == 0
 
     def test_handler_exception_logged_and_answered_500(self, caplog):
         def app(request, now):

@@ -224,6 +224,14 @@ class TestBrowserCacheDecide:
         r = Response(200, (("Cache-Control", "no-store"),), b"")
         assert browser_cache_decide(r) is None
 
+    @pytest.mark.parametrize(
+        "status, lines, lifetime",
+        [(200, ("public", "no-store"), None), (404, ("max-age=60", "no-store"), None), (404, ("public", "max-age=60"), 60.0)],
+    )
+    def test_every_cache_control_line_counts(self, status, lines, lifetime):
+        r = Response(status, tuple(("Cache-Control", line) for line in lines), b"")
+        assert browser_cache_decide(r) == lifetime
+
     def test_max_age_zero_not_cached(self):
         r = Response(404, (("Cache-Control", "max-age=0"),), b"")
         assert browser_cache_decide(r) is None
