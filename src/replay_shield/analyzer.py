@@ -221,7 +221,11 @@ def emit_series_csv(report: TrafficReport, path: str | Path) -> None:
             fh.write(f"{sec},{count},{cum}\n")
 
 
-def render_report_text(report: TrafficReport, top_clusters: int = 5) -> str:
+# the recurring clusters a text report lists, most requested first
+TOP_CLUSTERS = 5
+
+
+def render_report_text(report: TrafficReport) -> str:
     burst_k, burst_t = report.burst_prefix
     lines = [
         f"total_requests:   {report.total}",
@@ -230,7 +234,7 @@ def render_report_text(report: TrafficReport, top_clusters: int = 5) -> str:
         f"burst_prefix:     {burst_k} requests in first {burst_t:.0f}s",
         f"recurring_clusters: {len(report.recurring)}",
     ]
-    for cluster in report.recurring[:top_clusters]:
+    for cluster in report.recurring[:TOP_CLUSTERS]:
         statuses = ",".join(f"{s}x{n}" for s, n in sorted(cluster.statuses.items()))
         lines.append(f"  {cluster.count:>6}  [{statuses}]  {cluster.key}")
     return "\n".join(lines) + "\n"

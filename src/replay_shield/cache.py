@@ -81,6 +81,10 @@ class KeyMode(str, Enum):
 # fuzzy keys drop cache-buster parameters: long all-digit values
 FUZZY_RULES = FuzzyRuleSet(strip_numeric_only_params=True)
 
+# the query rules of each key mode that derives its key from the URL; an exact
+# key is the URL itself
+KEY_RULES = {KeyMode.CANONICAL: EMPTY_RULES, KeyMode.FUZZY: FUZZY_RULES}
+
 # captures and negative (404) answers; redirects and errors are always refetched
 CACHEABLE_STATUSES = frozenset({200, 404})
 
@@ -107,11 +111,8 @@ class CacheKey(NamedTuple):
 
 def make_cache_key(url: str, policy: CachePolicy) -> CacheKey:
     """The GET key of `url`; a HEAD is answered from the GET's entry."""
-    if policy.key_mode == KeyMode.EXACT:
-        return CacheKey("GET", url)
-    if policy.key_mode == KeyMode.CANONICAL:
-        return CacheKey("GET", fuzzy_key_of(url, EMPTY_RULES))
-    return CacheKey("GET", fuzzy_key_of(url, FUZZY_RULES))
+    rules = KEY_RULES.get(policy.key_mode)
+    return CacheKey("GET", url if rules is None else fuzzy_key_of(url, rules))
 
 
 @dataclass(frozen=True)

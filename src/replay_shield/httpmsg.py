@@ -38,9 +38,5 @@ def origin_form(url: str) -> str:
     return f"{path}?{parts.query}" if parts.query else path
 
 
-def text_response(status: int, text: str, content_type: str = "text/plain") -> Response:
-    return Response(
-        status=status,
-        headers=(("Content-Type", content_type),),
-        body=text.encode("utf-8"),
-    )
+def text_response(status: int, text: str) -> Response:
+    return Response(status, (("Content-Type", "text/plain"),), text.encode("utf-8"))

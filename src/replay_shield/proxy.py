@@ -17,7 +17,7 @@ from urllib.parse import urlsplit
 
 from . import configtext
 from .cache import (
-    FUZZY_RULES,
+    KEY_RULES,
     CacheKey,
     CachePolicy,
     CachedResponse,
@@ -60,10 +60,9 @@ PATCH_PATH_PREFIX = "/save/_embed/"
 PATCH_THROTTLE_SECONDS = 30.0
 
 
-def patch_target(url: str) -> str | None:
+def patch_target(path: str) -> str | None:
     """The URL a request to the patch endpoint asks the archive to save, or
-    None when `url` is not such a request."""
-    path = origin_form(url)
+    None when origin-form target `path` is not such a request."""
     return path[len(PATCH_PATH_PREFIX):] if path.startswith(PATCH_PATH_PREFIX) else None
 
 
@@ -197,11 +196,11 @@ class ReverseProxy:
     Concurrent misses on one cache key share a single upstream fetch.
 
     A URL's cache key is derived once: canonical and fuzzy keys are memoized
-    by request URL, under fuzzy keys with the query segments FUZZY_RULES
-    strips already removed, so each cache-busted poll finds the key of the
-    polls before it. The memo holds at most `policy.capacity` URLs and is
-    emptied when full: only unique-URL traffic fills it, and there it cannot
-    help. An exact key is the URL itself, so it has no memo.
+    by request URL with the query segments their KEY_RULES strip already
+    removed, so each cache-busted poll finds the key of the polls before it.
+    The memo holds at most `policy.capacity` URLs and is emptied when full:
+    only unique-URL traffic fills it, and there it cannot help. An exact key
+    is the URL itself, so it has no memo.
     """
 
     def __init__(self, config: ProxyConfig, upstream: Callable[[Request], Response]):
@@ -212,11 +211,9 @@ class ReverseProxy:
         self._tally = Tally()  # (Outcome, status) pairs
         self._inflight: dict[CacheKey, _Flight] = {}
         self._inflight_guard = threading.Lock()
-        key_mode = config.policy.key_mode
-        self._keys: dict[str, CacheKey] | None = (
-            {} if config.proxy_caching_enabled and key_mode is not KeyMode.EXACT else None
-        )
-        self._keys_strip = key_mode is KeyMode.FUZZY
+        # the query rules the key memo's URLs are stripped by; None: no memo
+        self._key_rules = KEY_RULES.get(config.policy.key_mode) if config.proxy_caching_enabled else None
+        self._keys: dict[str, CacheKey] = {}
         self._keys_lock = threading.Lock()
 
     def metrics_snapshot(self) -> ProxyMetrics:
@@ -229,25 +226,28 @@ class ReverseProxy:
         return ProxyMetrics(sum(by_outcome.values()), **by_outcome, responses_by_status=by_status)
 
     def handle_request(self, request: Request, now: float) -> Response:
+        # malformed requests never enter the counted pipeline
+        if request.method not in ("GET", "HEAD"):
+            return _BAD_REQUEST
         url = request.url
-        memo = self._keys
-        if memo is not None:
+        rules = self._key_rules
+        if rules is not None:
             # a memoized URL parsed, and is neither the metrics path nor a patch
             # target; one that matches it as text differs in stripped segments only
-            memo_url = strip_query_text(url, FUZZY_RULES) if self._keys_strip else url
-            key = memo.get(memo_url)
+            memo_url = strip_query_text(url, rules)
+            key = self._keys.get(memo_url)
             if key is not None:
-                if request.method not in ("GET", "HEAD"):
-                    return _BAD_REQUEST
                 return self._cached(request, key, now)
-        parts = urlsplit(url)
+        try:
+            parts = urlsplit(url)
+        except ValueError:  # such as a host with an unclosed "["
+            return _BAD_REQUEST
         if parts.path == METRICS_PATH:
             return text_response(200, render_metrics(self.metrics_snapshot()))
-        if request.method not in ("GET", "HEAD") or not parts.scheme or not parts.netloc:
-            # malformed requests never enter the counted pipeline
+        if not parts.scheme or not parts.netloc:
             return _BAD_REQUEST
 
-        target = patch_target(url) if self.config.throttle.enabled else None
+        target = patch_target(origin_form(url)) if self.config.throttle.enabled else None
         if target is not None:
             # keyed as the archive keys its own patch throttle: on the canonical target
             decision = self.throttle.check(fuzzy_key_of(target), now)
@@ -258,11 +258,11 @@ class ReverseProxy:
             return self._fetch(request, None, now)
         key = make_cache_key(url, self.config.policy)
         # a key that is the URL itself is the fallback for one that does not parse
-        if memo is not None and key.key != url and not parts.path.startswith(PATCH_PATH_PREFIX):
+        if rules is not None and key.key != url and not parts.path.startswith(PATCH_PATH_PREFIX):
             with self._keys_lock:
-                if len(memo) >= self.config.policy.capacity:
-                    memo.clear()
-                memo[memo_url] = key
+                if len(self._keys) >= self.config.policy.capacity:
+                    self._keys.clear()
+                self._keys[memo_url] = key
         return self._cached(request, key, now)
 
     def _cached(self, request: Request, key: CacheKey, now: float) -> Response:

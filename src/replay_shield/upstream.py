@@ -101,15 +101,9 @@ def _ts_seconds(ts14: str) -> float:
 class UpstreamSimulator:
     """In-process archive server; also drives the live upstream role in wire mode."""
 
-    def __init__(
-        self,
-        store: MementoStore,
-        patch: PatchConfig = PatchConfig(),
-        epoch: datetime = DEFAULT_EPOCH,
-    ):
+    def __init__(self, store: MementoStore, patch: PatchConfig = PatchConfig()):
         self.store = store
         self.patch_config = patch
-        self.epoch = epoch
         self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
         self._tally = Tally()  # statuses served
 
@@ -126,12 +120,16 @@ class UpstreamSimulator:
         return response
 
     def _dispatch(self, request: Request, now: float) -> Response:
-        target_url = patch_target(request.url) if self.patch_config.enabled else None
+        try:
+            path = origin_form(request.url)
+        except ValueError:  # urlsplit refuses it, as it does a host with an unclosed "["
+            return NOT_FOUND
+        target_url = patch_target(path) if self.patch_config.enabled else None
         if target_url is not None:
             return self._patch(target_url, now)
 
         try:
-            prefix, ts, modifier, remainder = split_at_timestamp(origin_form(request.url))
+            prefix, ts, modifier, remainder = split_at_timestamp(path)
             target = parse_urir(remainder)
         except UrlError:
             return NOT_FOUND
@@ -177,7 +175,7 @@ class UpstreamSimulator:
         self.store.insert(
             MementoRecord(
                 target=target,
-                timestamp14=timestamp14_at(self.epoch, now),
+                timestamp14=timestamp14_at(DEFAULT_EPOCH, now),
                 status=status,
                 content_type=content_type,
                 body=body,

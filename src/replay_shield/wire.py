@@ -21,7 +21,7 @@ from email.utils import formatdate
 from http import HTTPStatus
 from typing import Callable
 
-from .httpmsg import Request, Response, origin_form
+from .httpmsg import Request, Response, origin_form, text_response
 from .proxy import UpstreamUnreachable
 
 Handler = Callable[[Request, float], Response]
@@ -65,6 +65,17 @@ _TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 # A request target goes out only as visible ASCII (RFC 9112 section 3.2).
 _UNSENDABLE = re.compile(r"[^\x21-\x7e]")
+# A Host value or an absolute-form authority: an IP literal or a reg-name
+# (RFC 3986 section 3.2.2), not empty (RFC 9110 section 4.2.1), then an
+# optional port (RFC 9112 section 3.2). Two Host lines are read as one value
+# joined with ", ", which never matches.
+_HOST = re.compile(
+    r"(?!:|$)(?:\[(?:[0-9A-Fa-f:.]+|v[0-9A-Fa-f]+\.[-\w.~!$&'()*+,;=:]+)\]"
+    r"|[-\w.~!$&'()*+,;=]*(?:%[0-9A-Fa-f]{2}[-\w.~!$&'()*+,;=]*)*)(?::[0-9]*)?",
+    re.ASCII,
+)
+# The start of an absolute-form request target, up to its authority.
+_ABSOLUTE_FORM = re.compile(r"https?://([^/?#]*)", re.IGNORECASE)
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _BUSY = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
 
@@ -393,6 +404,9 @@ class _WireHandler(socketserver.StreamRequestHandler):
             return self._reject(exc.status)
         if method not in ("GET", "HEAD"):
             return self._reject(501)
+        url = _request_url(target, fields.get("host") or "%s:%d" % self.server.server_address)
+        if url is None:
+            return self._reject(400)
 
         keep_alive = _keep_alive(version == "HTTP/1.1", _connection_tokens(fields))
         # The body is never read, so the stream cannot be trusted past it.
@@ -400,13 +414,11 @@ class _WireHandler(socketserver.StreamRequestHandler):
             keep_alive = False
 
         now = time.monotonic() - self.server.started
-        host = fields.get("host") or "%s:%d" % self.server.server_address
-        url = f"http://{host}{target}"
         try:
             response = self.server.app(Request(method, url), now)
         except Exception:  # a handler bug must not kill the connection thread
             _log.exception("handler failed on %s %s", method, url)
-            response = Response(500, (("Content-Type", "text/plain"),), b"internal error")
+            response = text_response(500, "internal error")
         # logged before the response goes out, so a client that has its
         # response also finds the request in the log
         marker = response.header("X-Cache") or "-"
@@ -415,8 +427,7 @@ class _WireHandler(socketserver.StreamRequestHandler):
         return keep_alive
 
     def _reject(self, status: int) -> bool:
-        text = _REASONS[status].encode()
-        self._send(Response(status, (("Content-Type", "text/plain"),), text), False, False)
+        self._send(text_response(status, _REASONS[status]), False, False)
         return False
 
     def _send(self, response: Response, head_only: bool, keep_alive: bool) -> None:
@@ -436,6 +447,20 @@ class _WireHandler(socketserver.StreamRequestHandler):
             lines.append("Connection: close")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         self.wfile.write(head if head_only else head + response.body)
+
+
+def _request_url(target: str, host: str) -> str | None:
+    """The URL a request names (RFC 9112 section 3.2): an origin-form target
+    under `host`, or an absolute-form target as it is. None when `host` is not
+    a valid Host, or the target is neither form or names no valid authority."""
+    if not _HOST.fullmatch(host):
+        return None
+    if target.startswith("/"):
+        return f"http://{host}{target}"
+    absolute = _ABSOLUTE_FORM.match(target)
+    if absolute is None or not _HOST.fullmatch(absolute[1]):
+        return None
+    return target
 
 
 def serve_handler(app: Handler, listen: str = "127.0.0.1:0", echo: LogSink | None = None) -> _WireServer:

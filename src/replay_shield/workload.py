@@ -45,8 +45,8 @@ class UnknownScenario(ValueError):
 class LogicalClock:
     """Simulation time source; the workload loop is the only writer."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = start
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

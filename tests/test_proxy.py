@@ -15,6 +15,7 @@ from replay_shield.proxy import (
     InjectionMode,
     Outcome,
     ProxyConfig,
+    ProxyMetrics,
     ReverseProxy,
     SlidingWindowThrottle,
     Tally,
@@ -199,8 +200,19 @@ class TestHandleRequest:
     def test_malformed_request_400(self):
         proxy = ReverseProxy(ProxyConfig(), FakeUpstream())
         assert proxy.handle_request(Request("POST", "http://a/b"), now=0.0).status == 400
+        assert proxy.handle_request(Request("POST", "http://a/__metrics"), now=0.0).status == 400
         assert proxy.handle_request(get("not-a-url"), now=0.0).status == 400
         assert proxy.metrics_snapshot().client_requests == 0
+
+    @pytest.mark.parametrize("key_mode", list(KeyMode))
+    def test_url_urlsplit_refuses_is_an_uncounted_400(self, key_mode):
+        upstream = FakeUpstream()
+        proxy = ReverseProxy(ProxyConfig(policy=CachePolicy(key_mode=key_mode)), upstream)
+        for url in ("http://[::1/x", "http://[::1/x?_=1697000000000", "http://[1.2.3.4]/x"):
+            refused = proxy.handle_request(get(url), now=0.0)
+            assert (refused.status, refused.header("X-Cache")) == (400, "MISS")
+        assert proxy.metrics_snapshot() == ProxyMetrics()
+        assert upstream.calls == []
 
     def test_head_bypasses_cache(self):
         upstream = FakeUpstream()
@@ -521,6 +533,15 @@ class TestKeyModes:
             proxy.handle_request(get(f"http://a.test/feed?ts=163048967512{i:02d}"), now=float(i))
         assert len(upstream.calls) == 1
 
+    def test_canonical_mode_memo_drops_an_empty_query_only(self):
+        upstream = FakeUpstream()
+        proxy = ReverseProxy(ProxyConfig(policy=CachePolicy(key_mode=KeyMode.CANONICAL)), upstream)
+        markers = [proxy.handle_request(get(url), now=0.0).header("X-Cache")
+                   for url in ("http://a.test/p?", "http://a.test/p", "http://a.test/p?_=1697000000000")]
+        assert markers == ["MISS", "HIT", "MISS"]
+        assert upstream.calls == ["http://a.test/p?", "http://a.test/p?_=1697000000000"]
+        assert list(proxy._keys) == ["http://a.test/p", "http://a.test/p?_=1697000000000"]
+
 
 FEED = "http://archive.test/wayback/20090628044051/http://site.pt/feed?lang=en&_={}"
 
@@ -540,7 +561,7 @@ class TestKeyMemo:
     def test_exact_keys_have_no_memo(self):
         proxy = ReverseProxy(ProxyConfig(), FakeUpstream())
         proxy.handle_request(get(MISSING), now=0.0)
-        assert proxy._keys is None
+        assert not proxy._keys
 
     def test_distinct_urls_never_outgrow_capacity(self):
         proxy = fuzzy_proxy(capacity=10)

@@ -9,6 +9,8 @@ import pytest
 from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import ProxyConfig, ReverseProxy, ThrottleConfig
 from replay_shield.upstream import (
+    DEFAULT_EPOCH,
+    NOT_FOUND,
     ManifestParseError,
     MementoRecord,
     MementoStore,
@@ -59,6 +61,13 @@ class TestServe:
         r = sim.serve(get(missing), now=0.0)
         assert r.status == 404
         assert b"404" in r.body
+
+    @pytest.mark.parametrize("patch", [False, True], ids=["patch-off", "patch-on"])
+    def test_url_urlsplit_refuses_is_a_counted_404(self, patch):
+        sim = UpstreamSimulator(store_with_loader0(), patch=PatchConfig(enabled=patch))
+        for url in ("http://[::1/wayback/20090628044051im_/http://x.pt/a", "http://[::1/save/_embed/http://x.pt/a"):
+            assert sim.serve(get(url), now=0.0) is NOT_FOUND
+        assert sim.status_counts() == {404: 2}
 
     def test_absent_capture_patch_on_redirects_to_save(self):
         sim = UpstreamSimulator(MementoStore(), patch=PatchConfig(enabled=True))
@@ -165,7 +174,7 @@ class TestPatch:
         r = sim.patch("http://x.pt/img.jpg", now=0.0)
         assert r.status == 200
         # the capture is now servable (nearest-match redirect then exact hit)
-        ts = timestamp14_at(sim.epoch, 0.0)
+        ts = timestamp14_at(DEFAULT_EPOCH, 0.0)
         follow = sim.serve(get(f"http://a.test/web/{ts}/http://x.pt/img.jpg"), now=1.0)
         assert follow.status == 200
         assert follow.body == b"jpeg bytes"
@@ -296,7 +305,5 @@ class TestTimestampRendering:
         assert rfc1123_from_timestamp14("20210901092755") == "Wed, 01 Sep 2021 09:27:55 GMT"
 
     def test_timestamp_at_offset(self):
-        from replay_shield.upstream import DEFAULT_EPOCH
-
         assert timestamp14_at(DEFAULT_EPOCH, 0.0) == "20210901000000"
         assert timestamp14_at(DEFAULT_EPOCH, 61.5) == "20210901000101"

@@ -19,7 +19,7 @@ import pytest
 from replay_shield import wire
 from replay_shield.cache import CachePolicy
 from replay_shield.httpmsg import Request, Response
-from replay_shield.proxy import InjectionMode, ProxyConfig, ReverseProxy, ThrottleConfig, UpstreamUnreachable
+from replay_shield.proxy import InjectionMode, ProxyConfig, ProxyMetrics, ReverseProxy, ThrottleConfig, UpstreamUnreachable
 from replay_shield.upstream import MementoStore, PatchConfig, UpstreamSimulator, parse_manifest_text
 from replay_shield.wire import LOG_LINES_KEPT, http_fetch, origin_form, serve_handler, split_hostport
 
@@ -116,6 +116,22 @@ class TestProxyOverSockets:
                 assert [h["X-Cache"] for _, h, _ in results] == ["MISS", "HIT", "HIT"]
                 upstream_hits = [l for l in upstream.log_lines if "gone.png" in l]
                 assert len(upstream_hits) == 1
+
+    def test_ip_literal_host_and_absolute_form_target_served(self):
+        path = "/wayback/20090628044051im_/http://site.pt/ok.png"
+        with serve_handler(make_sim().serve) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                port = split_hostport(front.address)[1]
+                literal = raw_exchange(front.address, f"GET {path} HTTP/1.1\r\nHost: [::1]:{port}\r\nConnection: close\r\n\r\n".encode())
+                absolute = f"GET http://{front.address}{path} HTTP/1.1\r\nHost: {front.address}\r\n".encode()
+                repeated = raw_exchange(front.address, absolute + b"\r\n" + absolute + b"Connection: close\r\n\r\n")
+                front_urls = [line.split(" ")[2] for line in front.log_lines]
+        assert status_lines(literal) == [b"HTTP/1.1 200 OK"]
+        assert status_lines(repeated) == [b"HTTP/1.1 200 OK"] * 2
+        assert re.findall(rb"\r\nX-Cache: (\w+)", repeated) == [b"MISS", b"HIT"]
+        assert front_urls == [f"http://[::1]:{port}{path}"] + [f"http://{front.address}{path}"] * 2
+        assert proxy.metrics_snapshot().upstream_requests == 2
 
     def test_unreachable_upstream_gives_502(self):
         proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch("127.0.0.1:1", req))
@@ -317,6 +333,29 @@ def fetch_from_one_shot_upstream(answer: bytes):
     return response, proxy.metrics_snapshot()
 
 
+# Host fields that are not an IP literal or a reg-name with an optional port
+# (RFC 9112 section 3.2), by test id
+REFUSED_HOSTS = {
+    b"Host: [::1": "unclosed-ip-literal",
+    b"Host: h/evil": "host-with-path",
+    b"Host: h?q=": "host-with-query",
+    b"Host: h@evil": "host-with-userinfo",
+    b"Host: h:8o": "host-with-bad-port",
+    b"Host: :80": "port-without-host",
+    b"Host: a\r\nHost: b": "two-hosts",
+}
+# targets that are neither origin-form nor absolute-form with a valid authority
+REFUSED_TARGETS = {
+    b"x": "relative-target",
+    b"@evil.test/x": "userinfo-target",
+    b"ftp://h/x": "ftp-target",
+    b"http:///x": "no-authority",
+    b"http://:80/x": "port-without-authority-host",
+    b"http://u@h/x": "userinfo-authority",
+    b"http://[::1/x": "unclosed-ip-literal-authority",
+}
+
+
 class TestRequestGates:
     """Requests the server will not read are answered once, then the connection closes."""
 
@@ -340,9 +379,11 @@ class TestRequestGates:
             (b"GET / HTTP/1.1\r\nHost x\r\n\r\n", b"400"),
             (b"POST / HTTP/1.1\r\nHost: x\r\n\r\n", b"501"),
             (b"PUT / HTTP/1.1\r\nHost: x\r\n\r\n", b"501"),
+            *((b"GET /x HTTP/1.1\r\n" + field + b"\r\n\r\n", b"400") for field in REFUSED_HOSTS),
+            *((b"GET " + target + b" HTTP/1.1\r\nHost: x\r\n\r\n", b"400") for target in REFUSED_TARGETS),
         ],
         ids=["long-line", "101-fields", "long-field", "two-words", "four-words", "bad-version", "obs-fold", "no-colon",
-             "post", "put"],
+             "post", "put", *REFUSED_HOSTS.values(), *REFUSED_TARGETS.values()],
     )
     def test_rejected_request_answered_then_closed(self, server, head, status):
         address, seen = server
@@ -364,6 +405,19 @@ class TestRequestGates:
         assert status_lines(answer) == [b"HTTP/1.1 400 Bad Request"]
         assert b"\r\nConnection: close\r\n" in answer
         assert proxy.metrics_snapshot().client_requests == 0
+        assert front_lines == upstream_lines == []
+
+    def test_host_and_target_refusals_are_uncounted(self):
+        heads = [b"GET /x HTTP/1.1\r\n" + field + b"\r\n\r\n" for field in REFUSED_HOSTS]
+        heads += [b"GET " + target + b" HTTP/1.1\r\nHost: x\r\n\r\n" for target in REFUSED_TARGETS]
+        with serve_handler(make_sim().serve) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                answers = [raw_exchange(front.address, head) for head in heads]
+                front_lines = front.log_lines
+            upstream_lines = upstream.log_lines
+        assert all(status_lines(answer) == [b"HTTP/1.1 400 Bad Request"] for answer in answers)
+        assert proxy.metrics_snapshot() == ProxyMetrics()
         assert front_lines == upstream_lines == []
 
     def test_hundred_header_fields_accepted(self, server):
