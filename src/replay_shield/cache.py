@@ -14,6 +14,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from email.utils import parsedate
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .httpmsg import Response
@@ -30,10 +31,17 @@ class CacheControlDirectives:
     s_maxage: int | None = None
 
 
+# a response's Cache-Control value is one of a few, parsed once each; the bound
+# holds the memo's size under an upstream that varies it
+CACHE_CONTROL_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=CACHE_CONTROL_MEMO_SIZE)
 def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
     """Lenient Cache-Control parse: case-insensitive names, unknown directives
     ignored, malformed or negative max-age and s-maxage treated as absent. If
-    both public and private appear, private wins."""
+    both public and private appear, private wins. Memoized per value; the
+    directives are frozen, so callers share them."""
     public = private = no_store = no_cache = False
     max_age: int | None = None
     s_maxage: int | None = None

@@ -27,7 +27,8 @@ class Response:
 
     def with_header(self, name: str, value: str) -> "Response":
         """Return a copy with `name` set to `value`, replacing any existing occurrence."""
-        kept = tuple((n, v) for n, v in self.headers if n.lower() != name.lower())
+        unwanted = name.lower()
+        kept = tuple((n, v) for n, v in self.headers if n.lower() != unwanted)
         return Response(self.status, kept + ((name, value),), self.body)
 
 

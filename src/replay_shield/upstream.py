@@ -10,9 +10,11 @@ throttling on repeat attempts. No outbound network calls ever happen; the
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
+from functools import cached_property
 from pathlib import Path
 
 from .httpmsg import Request, Response, origin_form, text_response
@@ -36,6 +38,12 @@ NOT_FOUND = Response(404, (("Content-Type", "text/html"),),
 # logical time 0 of a simulation run, used to mint timestamps for patched captures
 DEFAULT_EPOCH = datetime(2021, 9, 1, 0, 0, 0, tzinfo=timezone.utc)
 
+# a replay URL's canonical target key, prefix, timestamp14, modifier and remainder
+_Route = tuple[str, str, str, str, str]
+# the most request URLs one simulator keeps the route of; only unique-URL
+# traffic fills the memo, and there it cannot help, so it is emptied when full
+ROUTE_MEMO_SIZE = 4096
+
 
 class ManifestParseError(ValueError):
     def __init__(self, lineno: int, message: str):
@@ -51,9 +59,14 @@ class MementoRecord:
     content_type: str
     body: bytes
 
-    @property
+    # derived on first use and kept: a record is read on every request for its target
+    @cached_property
     def memento_datetime(self) -> str:
         return rfc1123_from_timestamp14(self.timestamp14)
+
+    @cached_property
+    def seconds(self) -> float:
+        return _ts_seconds(self.timestamp14)
 
 
 @dataclass
@@ -78,7 +91,7 @@ class MementoStore:
         if not captures:
             return None  # before any timestamp is parsed: most requests in a lab run end here
         wanted = _ts_seconds(timestamp14)
-        return min(captures, key=lambda r: abs(_ts_seconds(r.timestamp14) - wanted))
+        return min(captures, key=lambda r: abs(r.seconds - wanted))
 
 
 @dataclass(frozen=True)
@@ -99,13 +112,20 @@ def _ts_seconds(ts14: str) -> float:
 
 
 class UpstreamSimulator:
-    """In-process archive server; also drives the live upstream role in wire mode."""
+    """In-process archive server; also drives the live upstream role in wire mode.
+
+    A request URL's route is worked out once and memoized. The holdings lookup
+    and the patch attempt still run on every request: patching changes the
+    holdings, and the throttle keeps state.
+    """
 
     def __init__(self, store: MementoStore, patch: PatchConfig = PatchConfig()):
         self.store = store
         self.patch_config = patch
         self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
         self._tally = Tally()  # statuses served
+        self._routes: dict[str, Response | str | _Route] = {}
+        self._routes_lock = threading.Lock()
 
     @property
     def request_count(self) -> int:
@@ -120,22 +140,21 @@ class UpstreamSimulator:
         return response
 
     def _dispatch(self, request: Request, now: float) -> Response:
-        try:
-            path = origin_form(request.url)
-        except ValueError:  # urlsplit refuses it, as it does a host with an unclosed "["
+        route = self._routes.get(request.url)
+        if route is None:
+            route = self._route(request.url)
+            with self._routes_lock:
+                if len(self._routes) >= ROUTE_MEMO_SIZE:
+                    self._routes.clear()
+                self._routes[request.url] = route
+        if route is NOT_FOUND:
             return NOT_FOUND
-        target_url = patch_target(path) if self.patch_config.enabled else None
-        if target_url is not None:
-            return self._patch(target_url, now)
+        if isinstance(route, str):
+            return self._patch(route, now)
 
-        try:
-            prefix, ts, modifier, remainder = split_at_timestamp(path)
-            target = parse_urir(remainder)
-        except UrlError:
-            return NOT_FOUND
-
+        key, prefix, ts, modifier, remainder = route
         # the nearest 200 capture at no distance is the exact one
-        nearest = self.store.nearest_capture(canonicalize(target), ts)
+        nearest = self.store.nearest_capture(key, ts)
         if nearest is not None and nearest.timestamp14 == ts:
             return Response(
                 200,
@@ -152,6 +171,23 @@ class UpstreamSimulator:
         if self.patch_config.enabled:
             return Response(302, (("Location", f"{PATCH_PATH_PREFIX}{remainder}"),))
         return NOT_FOUND
+
+    def _route(self, url: str) -> Response | str | _Route:
+        """NOT_FOUND for a URL that names no capture, the target of a patch
+        request, or a replay URL's route."""
+        try:
+            path = origin_form(url)
+        except ValueError:  # urlsplit refuses it, as it does a host with an unclosed "["
+            return NOT_FOUND
+        target_url = patch_target(path) if self.patch_config.enabled else None
+        if target_url is not None:
+            return target_url
+        try:
+            prefix, ts, modifier, remainder = split_at_timestamp(path)
+            target = parse_urir(remainder)
+        except UrlError:
+            return NOT_FOUND
+        return canonicalize(target), prefix, ts, modifier, remainder
 
     def patch(self, target_url: str, now: float) -> Response:
         """Attempt to archive `target_url` from the simulated live web."""

@@ -404,7 +404,10 @@ class _WireHandler(socketserver.StreamRequestHandler):
             return self._reject(exc.status)
         if method not in ("GET", "HEAD"):
             return self._reject(501)
-        url = _request_url(target, fields.get("host") or "%s:%d" % self.server.server_address)
+        # HTTP/1.1 requires a Host (RFC 9112 section 3.2); an HTTP/1.0 request
+        # without one names this server
+        own = "%s:%d" % self.server.server_address if version == "HTTP/1.0" else ""
+        url = _request_url(target, fields.get("host", own))
         if url is None:
             return self._reject(400)
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from replay_shield.cache import (
+    CACHE_CONTROL_MEMO_SIZE,
     CacheControlDirectives,
     CacheKey,
     CachePolicy,
@@ -62,6 +63,10 @@ class TestParseCacheControl:
     def test_private_beats_public(self):
         d = parse_cache_control("public, private")
         assert d.private is True and d.public is False
+
+    def test_memo_is_bounded_and_shares_one_parse_per_value(self):
+        assert parse_cache_control.cache_info().maxsize == CACHE_CONTROL_MEMO_SIZE
+        assert parse_cache_control("public, max-age=7") is parse_cache_control("public, max-age=7")
 
 
 class TestLookupFreshness:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import logging
+import random
 
 import pytest
 
+from replay_shield import upstream
 from replay_shield.httpmsg import Request, Response
-from replay_shield.proxy import ProxyConfig, ReverseProxy, ThrottleConfig
+from replay_shield.proxy import PATCH_THROTTLE_SECONDS, ProxyConfig, ReverseProxy, SlidingWindowThrottle, ThrottleConfig
 from replay_shield.upstream import (
     DEFAULT_EPOCH,
     NOT_FOUND,
+    ROUTE_MEMO_SIZE,
     ManifestParseError,
     MementoRecord,
     MementoStore,
@@ -22,6 +25,7 @@ from replay_shield.upstream import (
     timestamp14_at,
 )
 from replay_shield.urls import parse_urir
+from replay_shield.workload import ARCHIVE_PREFIX, SCENARIO_NAMES, builtin_scenario
 
 LOADER_TS = "20090628044051"
 LOADER_URL = "http://www.radiocomercial.iol.pt/styles/slideshow/loader-0.png"
@@ -129,10 +133,12 @@ class TestServe:
         assert sim.request_count == 2
         assert sim.status_counts() == {200: 1, 404: 1}
 
-    def test_counts_agree_under_concurrent_requests(self):
+    def test_counts_agree_under_concurrent_requests(self, monkeypatch):
         import sys
         import threading
 
+        # fewer routes than URLs, so the memo fills and empties under contention
+        monkeypatch.setattr(upstream, "ROUTE_MEMO_SIZE", 3)
         sim = UpstreamSimulator(store_with_loader0(), patch=PatchConfig(enabled=True))
         urls = [
             URIM,  # the capture: 200
@@ -158,6 +164,7 @@ class TestServe:
         assert not any(t.is_alive() for t in threads)
         assert sim.request_count == sum(sim.status_counts().values()) == 8 * len(urls)
         assert sim.status_counts() == {200: 200, 302: 400, 404: 1, 429: 199}
+        assert len(sim._routes) <= 3
 
 
 class TestPatch:
@@ -220,6 +227,100 @@ class TestPatch:
         sim = UpstreamSimulator(self.live_store(), patch=PatchConfig(enabled=True))
         r = sim.serve(get("http://a.test/save/_embed/http://x.pt/img.jpg"), now=0.0)
         assert r.status == 200
+
+
+def scenario_store_text() -> str:
+    """The holdings of every builtin scenario, plus a simulated live web that
+    has one missing loader and two targets the archive never saw, one of
+    them gone from the live web too."""
+    manifests = [builtin_scenario(name)[1] for name in SCENARIO_NAMES]
+    live = [
+        "live:\t200\timage/png\thttp://www.radiocomercial.iol.pt/styles/slideshow/loader-3.png\tinline:png3",
+        "live:\t200\timage/jpeg\thttp://x.pt/img.jpg\tinline:jpeg!",
+        "live:\t404\t-\thttp://x.pt/gone.jpg\tinline:",
+    ]
+    return "".join(manifests) + "\n".join(live) + "\n"
+
+
+def generated_request_urls(rng: random.Random, n: int) -> list[str]:
+    """Every URL the builtin scenarios request, then `n` seeded ones: replay
+    URLs of held, live-only and unknown targets, some respelled, at held,
+    random and invalid timestamps; non-replay paths; patch targets; and URLs
+    urlsplit refuses."""
+    urls = sorted(set().union(*(builtin_scenario(name)[0].distinct_urls() for name in SCENARIO_NAMES)))
+    targets = [
+        "http://www.radiocomercial.iol.pt/styles/slideshow/loader-0.png",
+        "http://www.radiocomercial.iol.pt/styles/slideshow/loader-3.png",
+        "http://WWW.radiocomercial.iol.pt:80/styles/slideshow/loader-3.png",
+        "http://www.radiocomercial.iol.pt/",
+        "https://www.livesport.com/en/",
+        "http://mre.example/js/carousel.js",
+        "http://x.pt/img.jpg",
+        "http://x.pt/gone.jpg",
+        "http://unknown.example/a?b=2&a=1",
+        "not-a-url",
+        "ftp://x.pt/a",
+    ]
+    timestamps = [
+        "20090628044051", "20090628052553", "20210915120000", "20210901092755", "20210901000000",
+        "19991231235959", "20091301000000", "20090230120000", "20090628046051", "2009062804405",
+    ]
+    for _ in range(n):
+        kind = rng.random()
+        target = rng.choice(targets)
+        if kind < 0.6:
+            prefix = rng.choice([ARCHIVE_PREFIX, "http://a.test/web", "http://archive.test"])
+            modifier = rng.choice(["", "", "im_", "js_", "mp_", "zz_"])
+            urls.append(f"{prefix}/{rng.choice(timestamps)}{modifier}/{target}")
+        elif kind < 0.8:
+            urls.append(f"http://{rng.choice(['archive.test', 'a.test:8080'])}/save/_embed/{rng.choice([target, ''])}")
+        elif kind < 0.9:
+            urls.append(rng.choice(["http://archive.test/", "http://archive.test/__metrics", f"http://archive.test/{target}",
+                                    "http://archive.test/wayback/latest/http://x.pt/img.jpg"]))
+        else:
+            urls.append(f"http://[::1/wayback/{rng.choice(timestamps)}/{target}")
+    return urls
+
+
+class TestRouteMemo:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("patch", [False, True], ids=["patch-off", "patch-on"])
+    def test_memoized_answers_equal_a_fresh_simulators(self, seed, patch):
+        """A warm simulator answers each URL, first and again, as a fresh one
+        over the same holdings and throttle state does; in patch mode both
+        archive the same captures at the same times."""
+        rng = random.Random(seed)
+        memoized = UpstreamSimulator(parse_manifest_text(scenario_store_text()), PatchConfig(enabled=patch))
+        reference_store = parse_manifest_text(scenario_store_text())
+        reference_throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
+        now = 0.0
+        for url in generated_request_urls(rng, 400):
+            for _ in range(2):
+                now += rng.choice([0.5, 5.0, 40.0])
+                fresh = UpstreamSimulator(reference_store, PatchConfig(enabled=patch))
+                fresh.throttle = reference_throttle
+                assert memoized.serve(get(url), now) == fresh.serve(get(url), now), url
+        assert memoized.store.records == reference_store.records
+        assert memoized._routes
+
+    def test_unique_urls_never_outgrow_the_memo(self):
+        sim = UpstreamSimulator(MementoStore())
+        sizes = []
+        for i in range(ROUTE_MEMO_SIZE + 100):
+            sim.serve(get(f"{ARCHIVE_PREFIX}/20090628044051/http://x.pt/{i}.png"), now=0.0)
+            sizes.append(len(sim._routes))
+        assert max(sizes) == ROUTE_MEMO_SIZE
+        assert sim.status_counts() == {404: ROUTE_MEMO_SIZE + 100}
+
+    def test_holdings_looked_up_on_every_request(self):
+        store = store_with_loader0()
+        calls = []
+        nearest = store.nearest_capture
+        store.nearest_capture = lambda key, ts: calls.append(ts) or nearest(key, ts)
+        sim = UpstreamSimulator(store)
+        statuses = [sim.serve(get(URIM), now=float(t)).status for t in range(3)]
+        assert statuses == [200] * 3
+        assert calls == [LOADER_TS] * 3
 
 
 MANIFEST = """\

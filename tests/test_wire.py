@@ -333,9 +333,12 @@ def fetch_from_one_shot_upstream(answer: bytes):
     return response, proxy.metrics_snapshot()
 
 
-# Host fields that are not an IP literal or a reg-name with an optional port
-# (RFC 9112 section 3.2), by test id
+# The fields of an HTTP/1.1 request with no valid Host, by test id: an empty
+# Host, one that is not an IP literal or a reg-name with an optional port, or
+# none at all (RFC 9112 section 3.2)
 REFUSED_HOSTS = {
+    b"X-Other: 1": "no-host",
+    b"Host: ": "empty-host",
     b"Host: [::1": "unclosed-ip-literal",
     b"Host: h/evil": "host-with-path",
     b"Host: h?q=": "host-with-query",
@@ -422,7 +425,7 @@ class TestRequestGates:
 
     def test_hundred_header_fields_accepted(self, server):
         address, seen = server
-        head = b"GET /a HTTP/1.1\r\nConnection: close\r\n" + b"X-Filler: 1\r\n" * 99 + b"\r\n"
+        head = b"GET /a HTTP/1.1\r\nHost: x\r\nConnection: close\r\n" + b"X-Filler: 1\r\n" * 98 + b"\r\n"
         assert status_lines(raw_exchange(address, head)) == [b"HTTP/1.1 200 OK"]
         assert len(seen) == 1
 
@@ -450,6 +453,12 @@ class TestRequestGates:
         answer = raw_exchange(address, first + b"GET /b HTTP/1.0\r\nHost: x\r\n\r\n")
         assert len(status_lines(answer)) == answers
         assert len(seen) == answers
+
+    def test_http10_without_host_names_the_server(self, server):
+        address, seen = server
+        assert status_lines(raw_exchange(address, b"GET /a HTTP/1.0\r\n\r\n")) == [b"HTTP/1.1 200 OK"]
+        assert [request.url for request in seen] == [f"http://{address}/a"]
+        assert status_lines(raw_exchange(address, b"GET /b HTTP/1.0\r\nHost: \r\n\r\n")) == [b"HTTP/1.1 400 Bad Request"]
 
     def test_connections_over_the_cap_get_503(self, monkeypatch):
         monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
