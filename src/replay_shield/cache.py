@@ -35,11 +35,23 @@ class CacheControlDirectives:
 # holds the memo's size under an upstream that varies it
 CACHE_CONTROL_MEMO_SIZE = 1024
 
+# the greatest delta-seconds a cache need represent (RFC 9111 section 1.2.2)
+DELTA_SECONDS_MAX = 2**31
+
+
+def delta_seconds(value: str) -> int | None:
+    """`value` read as delta-seconds (RFC 9111 section 1.2.2): one or more ASCII
+    digits, a value past DELTA_SECONDS_MAX read as it; None for anything else."""
+    if not (value.isascii() and value.isdigit()):
+        return None
+    digits = value.lstrip("0")  # int() refuses more than 4,300 digits
+    return DELTA_SECONDS_MAX if len(digits) > 10 else min(int(digits or "0"), DELTA_SECONDS_MAX)
+
 
 @lru_cache(maxsize=CACHE_CONTROL_MEMO_SIZE)
 def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
     """Lenient Cache-Control parse: case-insensitive names, unknown directives
-    ignored, malformed or negative max-age and s-maxage treated as absent. If
+    ignored, a max-age or s-maxage that is not delta-seconds treated as absent. If
     both public and private appear, private wins. Memoized per value; the
     directives are frozen, so callers share them."""
     public = private = no_store = no_cache = False
@@ -58,11 +70,8 @@ def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
         elif name == "no-cache":
             no_cache = True
         elif name in ("max-age", "s-maxage"):
-            try:
-                parsed = int(value)
-            except ValueError:
-                continue
-            if parsed < 0:
+            parsed = delta_seconds(value)
+            if parsed is None:
                 continue
             if name == "max-age":
                 max_age = parsed
@@ -148,21 +157,20 @@ def cache_entry(response: Response, now: float, freshness_lifetime: float) -> Ca
     (RFC 9111 section 4.2.3; missing or malformed counts as 0) is already spent,
     so the entry is dated that many seconds before `now` and keeps no Age, nor
     the X-Cache marker of the cache it came through."""
-    age = (response.header("Age") or "").strip()
-    arrival_age = int(age) if age.isascii() and age.isdigit() else 0
+    arrival_age = delta_seconds((response.header("Age") or "").strip()) or 0
     headers = tuple(field for field in response.headers if field[0].lower() not in _ADDED_ON_HIT)
     return CachedResponse(response.status, headers, response.body, now - arrival_age, freshness_lifetime)
 
 
 def _expires_lifetime(response: Response) -> float:
-    """`Expires` minus `Date` (RFC 9111 section 4.2.1). An `Expires` that does
-    not parse, such as `0`, or a missing `Date` means already expired (section
-    5.3)."""
+    """`Expires` minus `Date` (RFC 9111 section 4.2.1), at most DELTA_SECONDS_MAX.
+    An `Expires` that does not parse, such as `0`, or that names no year timegm
+    can place, or a missing `Date` means already expired (section 5.3)."""
     try:  # an HTTP-date is always GMT, so the zone is not read
         lifetime = timegm(parsedate(response.header("Expires"))) - timegm(parsedate(response.header("Date")))
-    except TypeError:  # parsedate found no date
+    except (TypeError, ValueError, OverflowError):  # no date, or a year past 9999 or past a C long
         return 0.0
-    return float(max(0, lifetime))
+    return float(min(max(0, lifetime), DELTA_SECONDS_MAX))
 
 
 class LookupState(Enum):

@@ -12,7 +12,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 from urllib.parse import urlsplit
 
 from . import configtext
@@ -176,6 +177,30 @@ _BAD_REQUEST = text_response(400, "bad request").with_header("X-Cache", "MISS")
 _UNREACHABLE = text_response(502, "upstream unreachable").with_header("X-Cache", "MISS")
 
 
+class _PatchRequest(NamedTuple):
+    """The route of a patch request with the throttle on, answered by `key` if allowed."""
+
+    key: CacheKey | None
+
+
+def _route_of(config: ProxyConfig, url: str) -> CacheKey | _PatchRequest | Response | str | None:
+    """What a GET or HEAD of `url` asks of a proxy with `config`, alike for every
+    URL with `url` as label: the metrics text (METRICS_PATH), the uncounted 400,
+    a patch request to throttle, a fetch that bypasses the cache (None) or its key."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # such as a host with an unclosed "["
+        return _BAD_REQUEST
+    if parts.path == METRICS_PATH:
+        return METRICS_PATH
+    if not parts.scheme or not parts.netloc:
+        return _BAD_REQUEST
+    key = make_cache_key(url, config.policy) if config.proxy_caching_enabled else None
+    if config.throttle.enabled and parts.path.startswith(PATCH_PATH_PREFIX):
+        return _PatchRequest(key)
+    return key
+
+
 class _Flight:
     """One cache key's upstream fetch. Its leader holds `lock` until the fetch
     is done, so a request that waits on the lock waits for the answer."""
@@ -195,12 +220,10 @@ class ReverseProxy:
     or a socket client. It signals connection failure with UpstreamUnreachable.
     Concurrent misses on one cache key share a single upstream fetch.
 
-    A URL's cache key is derived once: canonical and fuzzy keys are memoized
-    by request URL with the query segments their KEY_RULES strip already
-    removed, so each cache-busted poll finds the key of the polls before it.
-    The memo holds at most `policy.capacity` URLs and is emptied when full:
-    only unique-URL traffic fills it, and there it cannot help. An exact key
-    is the URL itself, so it has no memo.
+    A URL's route is worked out once: under canonical and fuzzy keys with
+    caching on, `_route_of` is memoized (LRU, `policy.capacity` entries) by the
+    URL's label, its text without the query segments its KEY_RULES strip, so
+    each cache-busted poll finds the route of the polls before it.
     """
 
     def __init__(self, config: ProxyConfig, upstream: Callable[[Request], Response]):
@@ -211,10 +234,10 @@ class ReverseProxy:
         self._tally = Tally()  # (Outcome, status) pairs
         self._inflight: dict[CacheKey, _Flight] = {}
         self._inflight_guard = threading.Lock()
-        # the query rules the key memo's URLs are stripped by; None: no memo
+        # the query rules a URL's label is stripped by; None: the label is the URL, with no memo
         self._key_rules = KEY_RULES.get(config.policy.key_mode) if config.proxy_caching_enabled else None
-        self._keys: dict[str, CacheKey] = {}
-        self._keys_lock = threading.Lock()
+        route_of = partial(_route_of, config)  # a function, not a method: the memo holds no cycle through the proxy
+        self._route_of = route_of if self._key_rules is None else lru_cache(maxsize=config.policy.capacity)(route_of)
 
     def metrics_snapshot(self) -> ProxyMetrics:
         """Every count from one snapshot; client_requests is their sum."""
@@ -230,40 +253,21 @@ class ReverseProxy:
         if request.method not in ("GET", "HEAD"):
             return _BAD_REQUEST
         url = request.url
-        rules = self._key_rules
-        if rules is not None:
-            # a memoized URL parsed, and is neither the metrics path nor a patch
-            # target; one that matches it as text differs in stripped segments only
-            memo_url = strip_query_text(url, rules)
-            key = self._keys.get(memo_url)
-            if key is not None:
-                return self._cached(request, key, now)
-        try:
-            parts = urlsplit(url)
-        except ValueError:  # such as a host with an unclosed "["
-            return _BAD_REQUEST
-        if parts.path == METRICS_PATH:
-            return text_response(200, render_metrics(self.metrics_snapshot()))
-        if not parts.scheme or not parts.netloc:
-            return _BAD_REQUEST
-
-        target = patch_target(origin_form(url)) if self.config.throttle.enabled else None
-        if target is not None:
+        label = url if self._key_rules is None else strip_query_text(url, self._key_rules)
+        route = self._route_of(label)
+        if type(route) is _PatchRequest:
             # keyed as the archive keys its own patch throttle: on the canonical target
-            decision = self.throttle.check(fuzzy_key_of(target), now)
+            decision = self.throttle.check(fuzzy_key_of(patch_target(origin_form(url))), now)
             if not decision.allowed:
                 return self._answer(Outcome.THROTTLED, throttled_response(decision).with_header("X-Cache", "MISS"))
-
-        if not self.config.proxy_caching_enabled:
-            return self._fetch(request, None, now)
-        key = make_cache_key(url, self.config.policy)
-        # a key that is the URL itself is the fallback for one that does not parse
-        if rules is not None and key.key != url and not parts.path.startswith(PATCH_PATH_PREFIX):
-            with self._keys_lock:
-                if len(self._keys) >= self.config.policy.capacity:
-                    self._keys.clear()
-                self._keys[memo_url] = key
-        return self._cached(request, key, now)
+            route = route.key
+        if type(route) is CacheKey:
+            if label is not url and route.key == label:  # the label does not parse, so neither does the URL
+                route = CacheKey("GET", url)  # the fallback key, the URL itself
+            return self._cached(request, route, now)
+        if route is METRICS_PATH:
+            return text_response(200, render_metrics(self.metrics_snapshot()))
+        return self._fetch(request, None, now) if route is None else route
 
     def _cached(self, request: Request, key: CacheKey, now: float) -> Response:
         """Answer a GET or HEAD from the entry under `key`, or fetch and store it.

@@ -10,11 +10,10 @@ throttling on repeat attempts. No outbound network calls ever happen; the
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 from .httpmsg import Request, Response, origin_form, text_response
@@ -40,8 +39,7 @@ DEFAULT_EPOCH = datetime(2021, 9, 1, 0, 0, 0, tzinfo=timezone.utc)
 
 # a replay URL's canonical target key, prefix, timestamp14, modifier and remainder
 _Route = tuple[str, str, str, str, str]
-# the most request URLs one simulator keeps the route of; only unique-URL
-# traffic fills the memo, and there it cannot help, so it is emptied when full
+# the most request URLs one simulator keeps the route of, least recently used out first
 ROUTE_MEMO_SIZE = 4096
 
 
@@ -111,6 +109,24 @@ def _ts_seconds(ts14: str) -> float:
     return timestamp14_datetime(ts14).timestamp()
 
 
+def _route_of(patching: bool, url: str) -> Response | str | _Route:
+    """NOT_FOUND for a URL that names no capture, the target of a patch request
+    when `patching`, or a replay URL's route."""
+    try:
+        path = origin_form(url)
+    except ValueError:  # urlsplit refuses it, as it does a host with an unclosed "["
+        return NOT_FOUND
+    target_url = patch_target(path) if patching else None
+    if target_url is not None:
+        return target_url
+    try:
+        prefix, ts, modifier, remainder = split_at_timestamp(path)
+        target = parse_urir(remainder)
+    except UrlError:
+        return NOT_FOUND
+    return canonicalize(target), prefix, ts, modifier, remainder
+
+
 class UpstreamSimulator:
     """In-process archive server; also drives the live upstream role in wire mode.
 
@@ -124,8 +140,8 @@ class UpstreamSimulator:
         self.patch_config = patch
         self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
         self._tally = Tally()  # statuses served
-        self._routes: dict[str, Response | str | _Route] = {}
-        self._routes_lock = threading.Lock()
+        # a function of the patch setting, not a method, so the memo holds no cycle through the simulator
+        self._route_of = lru_cache(maxsize=ROUTE_MEMO_SIZE)(partial(_route_of, patch.enabled))
 
     @property
     def request_count(self) -> int:
@@ -140,13 +156,7 @@ class UpstreamSimulator:
         return response
 
     def _dispatch(self, request: Request, now: float) -> Response:
-        route = self._routes.get(request.url)
-        if route is None:
-            route = self._route(request.url)
-            with self._routes_lock:
-                if len(self._routes) >= ROUTE_MEMO_SIZE:
-                    self._routes.clear()
-                self._routes[request.url] = route
+        route = self._route_of(request.url)
         if route is NOT_FOUND:
             return NOT_FOUND
         if isinstance(route, str):
@@ -171,23 +181,6 @@ class UpstreamSimulator:
         if self.patch_config.enabled:
             return Response(302, (("Location", f"{PATCH_PATH_PREFIX}{remainder}"),))
         return NOT_FOUND
-
-    def _route(self, url: str) -> Response | str | _Route:
-        """NOT_FOUND for a URL that names no capture, the target of a patch
-        request, or a replay URL's route."""
-        try:
-            path = origin_form(url)
-        except ValueError:  # urlsplit refuses it, as it does a host with an unclosed "["
-            return NOT_FOUND
-        target_url = patch_target(path) if self.patch_config.enabled else None
-        if target_url is not None:
-            return target_url
-        try:
-            prefix, ts, modifier, remainder = split_at_timestamp(path)
-            target = parse_urir(remainder)
-        except UrlError:
-            return NOT_FOUND
-        return canonicalize(target), prefix, ts, modifier, remainder
 
     def patch(self, target_url: str, now: float) -> Response:
         """Attempt to archive `target_url` from the simulated live web."""

@@ -113,11 +113,11 @@ class FuzzyRuleSet:
 
 
 def strip_query_text(url: str, rules: FuzzyRuleSet) -> str:
-    """`url` as text without the query segments `rules` strips. The query is
-    where parse_urir finds it: after the first "?" before any "#". A query that
-    is empty, or that the strip empties, loses its "?" too, so two URLs with the
-    same result parse alike and have the same key under `rules`. Nothing is
-    decoded or reordered."""
+    """`url` as text without the query segments `rules` strips, which parses as
+    `url` does, with its key under `rules`. The query is where parse_urir finds
+    it: after the first "?" before any "#". A query the strip empties loses its
+    "?"; one it would leave with a lone empty segment stays whole, since "?" alone
+    reads as no query. Nothing is decoded or reordered."""
     fragment_at = url.find("#")
     if fragment_at < 0:
         fragment_at = len(url)
@@ -130,9 +130,11 @@ def strip_query_text(url: str, rules: FuzzyRuleSet) -> str:
         name, sep, value = seg.partition("=")
         if not rules.strips(name, value if sep else None):
             kept.append(seg)
-    if kept:
-        return url if len(kept) == len(segments) else f"{url[:query_at]}?{'&'.join(kept)}{url[fragment_at:]}"
-    return url[:query_at] + url[fragment_at:]
+    if not kept:
+        return url[:query_at] + url[fragment_at:]
+    if len(kept) == len(segments) or kept == [""]:
+        return url
+    return f"{url[:query_at]}?{'&'.join(kept)}{url[fragment_at:]}"
 
 
 EMPTY_RULES = FuzzyRuleSet()
@@ -171,7 +173,10 @@ def parse_urir(url: str) -> UriR:
     host, port = netloc, None
     if ":" in netloc:
         head, _, tail = netloc.rpartition(":")
-        if tail.isdigit():
+        if tail.isdigit():  # true of non-ASCII digits too, such as "²"
+            # a port is ASCII digits, and int() refuses more than 4,300 of them
+            if not tail.isascii() or len(tail) > 4300:
+                raise MalformedTarget(f"unreadable port in {url!r}")
             host, port = head, int(tail)
         elif tail == "":
             host = head

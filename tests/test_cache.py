@@ -8,15 +8,18 @@ import pytest
 
 from replay_shield.cache import (
     CACHE_CONTROL_MEMO_SIZE,
+    DELTA_SECONDS_MAX,
     CacheControlDirectives,
     CacheKey,
     CachePolicy,
     LookupState,
     ResponseCache,
     StoreOutcome,
+    delta_seconds,
     parse_cache_control,
 )
 from replay_shield.httpmsg import Response
+from replay_shield.workload import BrowserCacheModel
 
 NO_DIRECTIVES = CacheControlDirectives()
 
@@ -60,6 +63,17 @@ class TestParseCacheControl:
         assert parse_cache_control("s-maxage=-1, max-age=5").s_maxage is None
         assert parse_cache_control('s-maxage="banana"').s_maxage is None
 
+    @pytest.mark.parametrize("value", ["+5", "1_0", "\u0665", "0x10", ""])
+    def test_a_value_that_is_not_delta_seconds_is_absent(self, value):
+        d = parse_cache_control(f"max-age={value}, s-maxage={value}")
+        assert (d.max_age, d.s_maxage) == (None, None)
+
+    @pytest.mark.parametrize("value", ["2147483649", "9" * 20, "9" * 5000, "0" * 5000 + "7"],
+                             ids=["2^31+1", "20-nines", "5000-nines", "5000-zeros-then-7"])
+    def test_a_long_value_reads_as_at_most_two_to_the_31(self, value):
+        d = parse_cache_control(f"max-age={value}, s-maxage={value}")
+        assert d.max_age == d.s_maxage == min(int(value.lstrip("0")[:11]), DELTA_SECONDS_MAX)
+
     def test_private_beats_public(self):
         d = parse_cache_control("public, private")
         assert d.private is True and d.public is False
@@ -67,6 +81,21 @@ class TestParseCacheControl:
     def test_memo_is_bounded_and_shares_one_parse_per_value(self):
         assert parse_cache_control.cache_info().maxsize == CACHE_CONTROL_MEMO_SIZE
         assert parse_cache_control("public, max-age=7") is parse_cache_control("public, max-age=7")
+
+
+class TestDeltaSeconds:
+    @pytest.mark.parametrize(
+        "value, seconds",
+        [("0", 0), ("007", 7), ("600", 600), ("2147483647", 2**31 - 1), ("2147483648", 2**31),
+         ("2147483649", 2**31), ("12345678901", 2**31), ("9" * 5000, 2**31), ("0" * 5000, 0)],
+        ids=["0", "007", "600", "2^31-1", "2^31", "2^31+1", "11-digits", "5000-nines", "5000-zeros"],
+    )
+    def test_ascii_digits_read_up_to_two_to_the_31(self, value, seconds):
+        assert delta_seconds(value) == seconds
+
+    @pytest.mark.parametrize("value", ["", "-5", "+5", "1_0", " 5", "1.5", "\u0665", "\u00b2", "5s"])
+    def test_anything_else_is_none(self, value):
+        assert delta_seconds(value) is None
 
 
 class TestLookupFreshness:
@@ -126,8 +155,12 @@ class TestStore:
             ("public", "Mon, 19 Oct 2026 10:00:30 GMT", None, 0.0),
             ("max-age=5", "Mon, 19 Oct 2026 10:00:30 GMT", "Mon, 19 Oct 2026 10:00:00 GMT", 5.0),
             ("s-maxage=7", "0", None, 7.0),
+            ("public", "Thu, 01 Jan 99999 00:00:00 GMT", "Mon, 19 Oct 2026 10:00:00 GMT", 0.0),
+            ("public", f"Thu, 01 Jan {'9' * 30} 00:00:00 GMT", "Mon, 19 Oct 2026 10:00:00 GMT", 0.0),
+            ("public", f"Thu, {'9' * 400} Jan 2026 00:00:00 GMT", "Mon, 19 Oct 2026 10:00:00 GMT", float(2**31)),
         ],
-        ids=["imf-fixdate", "rfc850-and-asctime", "past", "unparsable", "no-date", "max-age-wins", "s-maxage-wins"],
+        ids=["imf-fixdate", "rfc850-and-asctime", "past", "unparsable", "no-date", "max-age-wins", "s-maxage-wins",
+             "year-past-9999", "year-past-a-c-long", "day-past-a-float"],
     )
     def test_expires_without_max_age(self, cache_control, expires, date, lifetime):
         headers = (("Expires", expires),) + ((("Date", date),) if date else ())
@@ -149,10 +182,17 @@ class TestStore:
 
     def test_arrival_age_dates_the_entry(self):
         cache = ResponseCache(CachePolicy())
-        for age, stored_at in (("100", -90.0), (" 7 ", 3.0), (None, 10.0), ("abc", 10.0), ("-5", 10.0), ("1.5", 10.0)):
+        long_ages = (("2147483649", 10.0 - 2**31), ("9" * 5000, 10.0 - 2**31))  # read as 2^31
+        for age, stored_at in (("100", -90.0), (" 7 ", 3.0), (None, 10.0), ("abc", 10.0), ("-5", 10.0), ("1.5", 10.0),
+                               ("+5", 10.0), *long_ages):
             headers = () if age is None else (("Age", age),)
             cache.store(key("u"), Response(404, headers, b""), NO_DIRECTIVES, now=10.0)
             assert cache.lookup(key("u"), now=10.0).entry.stored_at == stored_at, age
+
+    def test_browser_model_takes_a_long_arrival_age(self):
+        browser = BrowserCacheModel()
+        browser.offer("http://a.test/x", Response(200, (("Age", "9" * 5000),), b"ok"), now=10.0)
+        assert browser.fresh_response("http://a.test/x", now=10.0) == Response(200, (), b"ok")
 
     def test_default_lifetime_without_directives(self):
         cache = ResponseCache(CachePolicy(default_max_age=120))

@@ -234,6 +234,19 @@ class TestCliAnalyze:
         assert code == EXIT_OK
         assert "recurring_clusters: 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("port", ["\u00b2", "9" * 5000], ids=["superscript", "5000-digits"])
+    def test_url_with_a_port_that_does_not_read_is_its_own_key(self, tmp_path, capsys, port):
+        url = f"http://a.test:{port}/feed?ts=1630489675000"
+        entries = [
+            {"startedDateTime": f"2021-09-01T09:27:0{i}.000Z", "request": {"method": "GET", "url": url},
+             "response": {"status": 404}}
+            for i in range(3)
+        ]
+        har = tmp_path / "port.har"
+        har.write_text(json.dumps({"log": {"entries": entries}}))
+        assert main(["--output", str(tmp_path), "analyze", str(har), "--fuzzy-numeric"]) == EXIT_OK
+        assert "recurring_clusters: 1" in capsys.readouterr().out
+
     def test_empty_har_ok(self, tmp_path, capsys):
         har = tmp_path / "empty.har"
         har.write_text(json.dumps({"log": {"entries": []}}))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
+from replay_shield import proxy as proxy_module
 from replay_shield.cache import CachePolicy, KeyMode, make_cache_key
 from replay_shield.configtext import ConfigError
 from replay_shield.httpmsg import Request, Response
@@ -540,7 +542,9 @@ class TestKeyModes:
                    for url in ("http://a.test/p?", "http://a.test/p", "http://a.test/p?_=1697000000000")]
         assert markers == ["MISS", "HIT", "MISS"]
         assert upstream.calls == ["http://a.test/p?", "http://a.test/p?_=1697000000000"]
-        assert list(proxy._keys) == ["http://a.test/p", "http://a.test/p?_=1697000000000"]
+        # two labels: "http://a.test/p" and "http://a.test/p?_=1697000000000"
+        info = proxy._route_of.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
 
 FEED = "http://archive.test/wayback/20090628044051/http://site.pt/feed?lang=en&_={}"
@@ -556,21 +560,37 @@ class TestKeyMemo:
         proxy = fuzzy_proxy()
         markers = [proxy.handle_request(get(FEED.format(1697000000000 + i)), now=0.0).header("X-Cache") for i in range(5)]
         assert markers == ["MISS"] + ["HIT"] * 4
-        assert list(proxy._keys) == ["http://archive.test/wayback/20090628044051/http://site.pt/feed?lang=en"]
+        # one label: "http://archive.test/wayback/20090628044051/http://site.pt/feed?lang=en"
+        info = proxy._route_of.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
 
     def test_exact_keys_have_no_memo(self):
         proxy = ReverseProxy(ProxyConfig(), FakeUpstream())
         proxy.handle_request(get(MISSING), now=0.0)
-        assert not proxy._keys
+        assert not hasattr(proxy._route_of, "cache_info")
 
     def test_distinct_urls_never_outgrow_capacity(self):
         proxy = fuzzy_proxy(capacity=10)
         sizes = []
         for i in range(30):
             proxy.handle_request(get(f"http://a.test/r{i}?_=1697000000000"), now=0.0)
-            sizes.append(len(proxy._keys))
+            sizes.append(proxy._route_of.cache_info().currsize)
         assert max(sizes) == 10
         assert proxy.metrics_snapshot().upstream_requests == 30
+
+    def test_a_polled_feed_keeps_its_route_through_capacity_unique_urls(self, monkeypatch):
+        derived = []
+        derive = proxy_module.make_cache_key
+        monkeypatch.setattr(proxy_module, "make_cache_key", lambda url, p: derived.append(url) or derive(url, p))
+        proxy = fuzzy_proxy(capacity=10)
+        proxy.handle_request(get(FEED.format(1697000000000)), now=0.0)
+        for i in range(10):
+            proxy.handle_request(get(f"http://a.test/r{i}"), now=0.0)
+            poll = proxy.handle_request(get(FEED.format(1697000000001 + i)), now=0.0)
+            assert poll.header("X-Cache") == "HIT"
+        # the feed's key derived once, then one per unique URL: the least recently used label goes first
+        assert len(derived) == 1 + 10
+        assert proxy._route_of.cache_info().currsize == 10
 
     def test_post_on_a_memo_hit_is_an_uncounted_400(self):
         proxy = fuzzy_proxy()
@@ -579,23 +599,37 @@ class TestKeyMemo:
         assert (refused.status, refused.header("X-Cache")) == (400, "MISS")
         assert proxy.metrics_snapshot().client_requests == 1
 
-    def test_metrics_path_never_memoized(self):
+    def test_metrics_path_answered_on_every_request(self):
         proxy = fuzzy_proxy()
         for url in ("http://a.test/__metrics", "http://a.test/__metrics?_=1697000000000") * 2:
             assert proxy.handle_request(get(url), now=0.0).body.startswith(b"client_requests 0\n")
-        assert proxy._keys == {}
 
     def test_throttle_still_answers_a_repeated_patch_target(self):
         proxy = fuzzy_proxy(throttle=ThrottleConfig(enabled=True))
         url = "http://a.test/save/_embed/http://x/y.jpg?_=1697000000000"
         assert [proxy.handle_request(get(url), now=float(t)).status for t in range(3)] == [200, 429, 429]
-        assert proxy._keys == {}
+
+    def test_throttle_keys_a_memoized_patch_route_by_its_own_target(self):
+        proxy = fuzzy_proxy(throttle=ThrottleConfig(enabled=True))
+        urls = [f"http://a.test/save/_embed/http://x/y.jpg?_={1697000000000 + i}" for i in range(3)]
+        # one label, but three targets: each is the first attempt at its own
+        assert [proxy.handle_request(get(url), now=0.0).status for url in urls] == [200, 200, 200]
+        assert proxy._route_of.cache_info().currsize == 1
+        assert proxy.handle_request(get(urls[1]), now=1.0).status == 429
+
+    @pytest.mark.parametrize("mode", list(KeyMode))
+    def test_a_dropped_proxy_is_freed_at_once(self, mode):
+        proxy = ReverseProxy(ProxyConfig(policy=CachePolicy(key_mode=mode)), FakeUpstream())
+        proxy.handle_request(get(FEED.format(1697000000000)), now=0.0)
+        dropped = weakref.ref(proxy)
+        del proxy
+        assert dropped() is None  # by reference count: the memo holds no cycle through the proxy
 
     def test_nothing_memoized_with_caching_off(self):
         proxy = fuzzy_proxy(proxy_caching_enabled=False)
         for i in range(3):
             proxy.handle_request(get(FEED.format(1697000000000 + i)), now=0.0)
-        assert not proxy._keys
+        assert not hasattr(proxy._route_of, "cache_info")
         assert proxy.metrics_snapshot().upstream_requests == 3
 
     def test_memo_keys_and_counts_hold_under_contention(self):
@@ -634,7 +668,7 @@ class TestKeyMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        assert len(proxy._keys) <= 8
+        assert proxy._route_of.cache_info().currsize <= 8
         m = proxy.metrics_snapshot()
         assert m.client_requests == 8 * 305 == m.cache_hits_fresh + m.upstream_requests + m.throttled_429
         assert m.client_requests == sum(m.responses_by_status.values())

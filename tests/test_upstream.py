@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+import weakref
 
 import pytest
 
@@ -73,6 +74,15 @@ class TestServe:
             assert sim.serve(get(url), now=0.0) is NOT_FOUND
         assert sim.status_counts() == {404: 2}
 
+    @pytest.mark.parametrize("patch", [False, True], ids=["patch-off", "patch-on"])
+    @pytest.mark.parametrize("port", ["\u00b2", "\u0663", "9" * 5000], ids=["superscript", "arabic-indic", "5000-digits"])
+    def test_target_port_that_does_not_read_is_a_counted_404(self, patch, port):
+        sim = UpstreamSimulator(store_with_loader0(), patch=PatchConfig(enabled=patch))
+        for url in (f"http://archive.test/wayback/20090628044051im_/http://x.pt:{port}/a",
+                    f"http://archive.test/save/_embed/http://x.pt:{port}/a"):
+            assert sim.serve(get(url), now=0.0).status == 404
+        assert sim.status_counts() == {404: 2}
+
     def test_absent_capture_patch_on_redirects_to_save(self):
         sim = UpstreamSimulator(MementoStore(), patch=PatchConfig(enabled=True))
         r = sim.serve(get("http://a.test/web/20100822133654/http://x.pt/img.jpg"), now=0.0)
@@ -137,7 +147,7 @@ class TestServe:
         import sys
         import threading
 
-        # fewer routes than URLs, so the memo fills and empties under contention
+        # fewer routes than URLs, so the memo fills and evicts under contention
         monkeypatch.setattr(upstream, "ROUTE_MEMO_SIZE", 3)
         sim = UpstreamSimulator(store_with_loader0(), patch=PatchConfig(enabled=True))
         urls = [
@@ -164,7 +174,7 @@ class TestServe:
         assert not any(t.is_alive() for t in threads)
         assert sim.request_count == sum(sim.status_counts().values()) == 8 * len(urls)
         assert sim.status_counts() == {200: 200, 302: 400, 404: 1, 429: 199}
-        assert len(sim._routes) <= 3
+        assert sim._route_of.cache_info().currsize <= 3
 
 
 class TestPatch:
@@ -301,16 +311,33 @@ class TestRouteMemo:
                 fresh.throttle = reference_throttle
                 assert memoized.serve(get(url), now) == fresh.serve(get(url), now), url
         assert memoized.store.records == reference_store.records
-        assert memoized._routes
+        assert memoized._route_of.cache_info().currsize
 
     def test_unique_urls_never_outgrow_the_memo(self):
         sim = UpstreamSimulator(MementoStore())
         sizes = []
         for i in range(ROUTE_MEMO_SIZE + 100):
             sim.serve(get(f"{ARCHIVE_PREFIX}/20090628044051/http://x.pt/{i}.png"), now=0.0)
-            sizes.append(len(sim._routes))
+            sizes.append(sim._route_of.cache_info().currsize)
         assert max(sizes) == ROUTE_MEMO_SIZE
         assert sim.status_counts() == {404: ROUTE_MEMO_SIZE + 100}
+
+    def test_a_recurring_url_keeps_its_route_through_unique_ones(self, monkeypatch):
+        monkeypatch.setattr(upstream, "ROUTE_MEMO_SIZE", 3)
+        sim = UpstreamSimulator(MementoStore())
+        sim.serve(get(URIM), now=0.0)
+        for i in range(10):
+            sim.serve(get(f"{ARCHIVE_PREFIX}/20090628044051/http://x.pt/{i}.png"), now=0.0)
+            sim.serve(get(URIM), now=0.0)
+        info = sim._route_of.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (10, 11, 3)
+
+    def test_a_dropped_simulator_is_freed_at_once(self):
+        sim = UpstreamSimulator(store_with_loader0())
+        sim.serve(get(URIM), now=0.0)
+        dropped = weakref.ref(sim)
+        del sim
+        assert dropped() is None  # by reference count: the memo holds no cycle through the simulator
 
     def test_holdings_looked_up_on_every_request(self):
         store = store_with_loader0()

@@ -274,7 +274,8 @@ class TestStripQueryText:
             ("http://h/p?a=1&_=1234567890&b", "http://h/p?a=1&b"),
             ("http://h/p?n=12345678", "http://h/p?n=12345678"),
             ("http://h/p?", "http://h/p"),
-            ("http://h/p?&_=123456789", "http://h/p?"),
+            # a lone empty segment left: "http://h/p?" would read as no query
+            ("http://h/p?&_=123456789", "http://h/p?&_=123456789"),
             ("http://h/p?flag&&_=123456789", "http://h/p?flag&"),
             ("http://h/p#x?_=1234567890", "http://h/p#x?_=1234567890"),
             ("http://h/p?_=123456789#a&_=123456789", "http://h/p#a&_=123456789"),
@@ -282,6 +283,20 @@ class TestStripQueryText:
     )
     def test_cases(self, url, stripped):
         assert strip_query_text(url, FUZZY_RULES) == stripped
+
+    @pytest.mark.parametrize("rules", [EMPTY_RULES, FUZZY_RULES], ids=["canonical", "fuzzy"])
+    def test_the_text_has_the_urls_key(self, rules):
+        """The stripped text has the URL's key, or, when the URL does not parse,
+        does not parse either; the pool holds strips that leave one empty segment."""
+        rng = random.Random(29)
+        pool = ["http://a.test?_=1697000000000&", "http://a.test/p?&_=1697000000000#x", "http://a.test/p?&"]
+        pool += [random_edge_url(rng) for _ in range(5000)]
+        for url in pool:
+            stripped = strip_query_text(url, rules)
+            if parses(url):
+                assert fuzzy_key_of(stripped, rules) == fuzzy_key_of(url, rules), url
+            else:
+                assert not parses(stripped), url
 
     def test_same_text_parses_alike_with_the_same_key(self):
         rng = random.Random(17)

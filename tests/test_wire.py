@@ -17,7 +17,7 @@ import time
 import pytest
 
 from replay_shield import wire
-from replay_shield.cache import CachePolicy
+from replay_shield.cache import CachePolicy, KeyMode
 from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import InjectionMode, ProxyConfig, ProxyMetrics, ReverseProxy, ThrottleConfig, UpstreamUnreachable
 from replay_shield.upstream import MementoStore, PatchConfig, UpstreamSimulator, parse_manifest_text
@@ -252,6 +252,42 @@ class TestProxyOverSockets:
         assert markers == ["MISS", "MISS"]
         assert proxy.metrics_snapshot().upstream_requests == 2
         assert len(proxy.cache) == 0
+
+    @pytest.mark.parametrize(
+        "field",
+        [b"Age: " + b"9" * 5000, b"Expires: Thu, 01 Jan 99999 00:00:00 GMT\r\nDate: Mon, 19 Oct 2026 10:00:00 GMT"],
+        ids=["age-5000-digits", "expires-year-99999"],
+    )
+    def test_a_freshness_field_past_its_range_is_a_counted_answer(self, caplog, field):
+        answer = b"HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n" + field + b"\r\n\r\ngone"
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = one_shot_upstream(listener, answer)
+            address = "127.0.0.1:%d" % listener.getsockname()[1]
+            proxy = ReverseProxy(ProxyConfig(injection_mode=InjectionMode.OFF), lambda req: http_fetch(address, req))
+            with serve_handler(proxy.handle_request) as front:
+                status, headers, body = client_get(front.address, "/x")
+            server.join(5)
+        assert (status, headers["X-Cache"], body) == (404, "MISS", b"gone")
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.upstream_requests, m.responses_by_status) == (1, 1, {404: 1})
+        # stored, and stale from the start
+        assert len(proxy.cache) == 1
+
+    @pytest.mark.parametrize("key_mode", [KeyMode.CANONICAL, KeyMode.FUZZY])
+    def test_host_with_a_port_past_int_digits_is_its_own_key(self, caplog, key_mode):
+        # the wire takes ASCII port digits only, and int() reads no more than 4,300
+        head = b"GET /x HTTP/1.1\r\nHost: a:" + b"9" * 5000 + b"\r\nConnection: close\r\n\r\n"
+        with serve_handler(make_sim().serve) as upstream:
+            policy = CachePolicy(key_mode=key_mode)
+            proxy = ReverseProxy(ProxyConfig(policy=policy), lambda req: http_fetch(upstream.address, req))
+            with serve_handler(proxy.handle_request) as front:
+                answers = [raw_exchange(front.address, head) for _ in range(2)]
+        assert [line for answer in answers for line in status_lines(answer)] == [b"HTTP/1.1 404 Not Found"] * 2
+        assert [re.search(rb"\r\nX-Cache: (\w+)", answer)[1] for answer in answers] == [b"MISS", b"HIT"]
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        m = proxy.metrics_snapshot()
+        assert (m.client_requests, m.upstream_requests, m.cache_hits_fresh) == (2, 1, 1)
 
     def test_handler_exception_logged_and_answered_500(self, caplog):
         def app(request, now):
