@@ -298,7 +298,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Eliminate and measure recurring 404 traffic against archival replay backends.",
     )
     parser.add_argument("--config", help="serve proxy's config file (fallback: $" + CONFIG_ENV_VAR + ")")
-    parser.add_argument("--output", default="out", help="output directory (default: ./out)")
+    parser.add_argument("--output", help="output directory, not read by serve (default: ./out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_page_flags(p):
@@ -347,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config and args.fn is not cmd_serve_proxy:
         parser.error("--config is read only by serve proxy")
+    if args.output is None:
+        args.output = "out"
+    elif args.command == "serve":
+        parser.error("--output is not read by serve")
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:  # the parse errors are ValueErrors

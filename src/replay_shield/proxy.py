@@ -67,27 +67,25 @@ def patch_target(path: str) -> str | None:
     return path[len(PATCH_PATH_PREFIX):] if path.startswith(PATCH_PATH_PREFIX) else None
 
 
-@dataclass(frozen=True)
-class ThrottleDecision:
-    allowed: bool
-    retry_after: float = 0.0
-
-
 class SlidingWindowThrottle:
-    """One allowed request per key per window; denied requests do not extend it.
+    """The patch endpoint's limiter: one allowed attempt per target per
+    PATCH_THROTTLE_SECONDS; denied attempts do not extend the window.
 
-    Keys are kept in the order of their last allowed time, which arrives in
-    time order, so keys whose window has passed are forgotten from the front
-    and the map holds only the keys allowed within the last window.
+    Targets are keyed by `fuzzy_key_of`, so every spelling of one target shares
+    a window. Keys are kept in the order of their last allowed time, which
+    arrives in time order, so keys whose window has passed are forgotten from
+    the front and the map holds only the keys allowed within the last window.
     """
 
-    def __init__(self, window_seconds: float):
-        self.window_seconds = window_seconds
+    def __init__(self):
         self._last_allowed: OrderedDict[str, float] = OrderedDict()
         self._lock = threading.Lock()
 
-    def check(self, key: str, now: float) -> ThrottleDecision:
-        cutoff = now - self.window_seconds
+    def check(self, target_url: str, now: float) -> Response | None:
+        """None to let an attempt at `target_url` through, else the 429 with
+        Retry-After in whole seconds, at least 1."""
+        key = fuzzy_key_of(target_url)
+        cutoff = now - PATCH_THROTTLE_SECONDS
         with self._lock:
             last_allowed = self._last_allowed
             while last_allowed and next(iter(last_allowed.values())) <= cutoff:
@@ -96,15 +94,11 @@ class SlidingWindowThrottle:
             # a concurrent caller's `now` may be slightly older, leaving an
             # expired key behind a live one
             if last is not None and last > cutoff:
-                return ThrottleDecision(False, retry_after=last + self.window_seconds - now)
+                retry_after = max(1, math.ceil(last + PATCH_THROTTLE_SECONDS - now))
+                return Response(429, (("Retry-After", str(retry_after)),))
             last_allowed[key] = now
             last_allowed.move_to_end(key)
-            return ThrottleDecision(True)
-
-
-def throttled_response(decision: ThrottleDecision) -> Response:
-    """The 429 for a denied request, with Retry-After in whole seconds, at least 1."""
-    return Response(429, (("Retry-After", str(max(1, math.ceil(decision.retry_after)))),))
+            return None
 
 
 @dataclass(frozen=True)
@@ -230,7 +224,7 @@ class ReverseProxy:
         self.config = config
         self.upstream = upstream
         self.cache = ResponseCache(config.policy)
-        self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
+        self.throttle = SlidingWindowThrottle()
         self._tally = Tally()  # (Outcome, status) pairs
         self._inflight: dict[CacheKey, _Flight] = {}
         self._inflight_guard = threading.Lock()
@@ -256,10 +250,9 @@ class ReverseProxy:
         label = url if self._key_rules is None else strip_query_text(url, self._key_rules)
         route = self._route_of(label)
         if type(route) is _PatchRequest:
-            # keyed as the archive keys its own patch throttle: on the canonical target
-            decision = self.throttle.check(fuzzy_key_of(patch_target(origin_form(url))), now)
-            if not decision.allowed:
-                return self._answer(Outcome.THROTTLED, throttled_response(decision).with_header("X-Cache", "MISS"))
+            throttled = self.throttle.check(patch_target(origin_form(url)), now)
+            if throttled is not None:
+                return self._answer(Outcome.THROTTLED, throttled.with_header("X-Cache", "MISS"))
             route = route.key
         if type(route) is CacheKey:
             if label is not url and route.key == label:  # the label does not parse, so neither does the URL

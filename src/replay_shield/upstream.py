@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 from .httpmsg import Request, Response, origin_form, text_response
-from .proxy import PATCH_PATH_PREFIX, PATCH_THROTTLE_SECONDS, SlidingWindowThrottle, Tally, patch_target, throttled_response
+from .proxy import PATCH_PATH_PREFIX, SlidingWindowThrottle, Tally, patch_target
 from .urls import (
     UriR,
     UrlError,
@@ -101,8 +101,8 @@ def rfc1123_from_timestamp14(ts14: str) -> str:
     return format_datetime(timestamp14_datetime(ts14), usegmt=True)
 
 
-def timestamp14_at(epoch: datetime, now_seconds: float) -> str:
-    return (epoch + timedelta(seconds=now_seconds)).strftime("%Y%m%d%H%M%S")
+def timestamp14_at(now_seconds: float) -> str:
+    return (DEFAULT_EPOCH + timedelta(seconds=now_seconds)).strftime("%Y%m%d%H%M%S")
 
 
 def _ts_seconds(ts14: str) -> float:
@@ -138,7 +138,7 @@ class UpstreamSimulator:
     def __init__(self, store: MementoStore, patch: PatchConfig = PatchConfig()):
         self.store = store
         self.patch_config = patch
-        self.throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
+        self.throttle = SlidingWindowThrottle()
         self._tally = Tally()  # statuses served
         # a function of the patch setting, not a method, so the memo holds no cycle through the simulator
         self._route_of = lru_cache(maxsize=ROUTE_MEMO_SIZE)(partial(_route_of, patch.enabled))
@@ -193,18 +193,17 @@ class UpstreamSimulator:
             target = parse_urir(target_url)
         except UrlError:
             return text_response(404, "unresolvable patch target")
-        key = canonicalize(target)
-        decision = self.throttle.check(key, now)
-        if not decision.allowed:
-            return throttled_response(decision)
-        live = self.store.live_web.get(key)
+        throttled = self.throttle.check(target_url, now)
+        if throttled is not None:
+            return throttled
+        live = self.store.live_web.get(canonicalize(target))
         if live is None or live[0] != 200:
             return text_response(404, "target not on the live web")
         status, content_type, body = live
         self.store.insert(
             MementoRecord(
                 target=target,
-                timestamp14=timestamp14_at(DEFAULT_EPOCH, now),
+                timestamp14=timestamp14_at(now),
                 status=status,
                 content_type=content_type,
                 body=body,

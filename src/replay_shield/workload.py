@@ -63,8 +63,8 @@ class CarouselLoop:
     period: float
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be > 0")
+        if not 0 < self.period < math.inf:
+            raise ValueError("period must be a finite number > 0")
         if not self.urls:
             raise ValueError("carousel needs at least one URL")
 
@@ -89,8 +89,8 @@ class LoaderRetry:
     cycle_period: float
 
     def __post_init__(self):
-        if self.cycle_period <= 0:
-            raise ValueError("cycle_period must be > 0")
+        if not 0 < self.cycle_period < math.inf:
+            raise ValueError("cycle_period must be a finite number > 0")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if "#" not in self.url_template:
@@ -120,8 +120,8 @@ class OnErrorFallback:
     retry_period: float
 
     def __post_init__(self):
-        if self.retry_period <= 0:
-            raise ValueError("retry_period must be > 0")
+        if not 0 < self.retry_period < math.inf:
+            raise ValueError("retry_period must be a finite number > 0")
 
     @property
     def period(self) -> float:
@@ -147,8 +147,8 @@ class XhrPoll:
     interval: float
 
     def __post_init__(self):
-        if self.interval <= 0:
-            raise ValueError("interval must be > 0")
+        if not 0 < self.interval < math.inf:
+            raise ValueError("interval must be a finite number > 0")
 
     @property
     def period(self) -> float:
@@ -174,8 +174,8 @@ class PageSpec:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be a finite number > 0")
 
     def distinct_urls(self) -> set[str]:
         return set(self.essential_resources).union(*(b.request_urls() for b in self.behaviors))

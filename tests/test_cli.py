@@ -185,6 +185,12 @@ class TestCliReproduce:
         assert code == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_non_finite_duration_exit_2(self, tmp_path, capsys, duration):
+        code = main(["--output", str(tmp_path), "reproduce", "--scenario", "mre", "--duration", duration])
+        assert code == EXIT_CONFIG
+        assert "duration" in capsys.readouterr().err
+
     def test_reproduce_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -364,6 +370,12 @@ class TestWorkloadFlags:
             main(["--output", str(tmp_path), *argv])
         assert exc.value.code == EXIT_CONFIG
         assert flag in capsys.readouterr().err
+
+    def test_serve_rejects_output(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", "x", "serve", "upstream", "--manifest", "m"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--output" in capsys.readouterr().err
 
     def test_run_workload_against_a_closed_port_exits_3(self, tmp_path, capsys):
         with socket.socket() as sock:

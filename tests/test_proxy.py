@@ -318,18 +318,32 @@ class TestInjectCacheControl:
 
 class TestThrottle:
     def test_sliding_window_replay(self):
-        t = SlidingWindowThrottle(30.0)
-        assert t.check("u", now=0.0).allowed
-        assert not t.check("u", now=10.0).allowed
-        assert t.check("u", now=31.0).allowed
+        t = SlidingWindowThrottle()
+        assert t.check("u", now=0.0) is None
+        assert t.check("u", now=10.0) is not None
+        assert t.check("u", now=31.0) is None
 
     def test_denied_requests_do_not_extend_window(self):
-        t = SlidingWindowThrottle(30.0)
-        assert t.check("u", now=0.0).allowed
+        t = SlidingWindowThrottle()
+        assert t.check("u", now=0.0) is None
         for at in (5.0, 15.0, 25.0):
-            assert not t.check("u", at).allowed
+            assert t.check("u", at) is not None
         # window anchored at the t=0 allow only
-        assert t.check("u", now=30.5).allowed
+        assert t.check("u", now=30.5) is None
+
+    def test_check_keys_the_target_and_answers_the_429(self):
+        t = SlidingWindowThrottle()
+        assert t.check("http://x.pt/a.jpg", 0.0) is None
+        denied = t.check("http://X.pt:80/a.jpg", 1.0)  # another spelling of the same target
+        assert denied.status == 429
+        assert denied.header("Retry-After") == "29"
+
+    def test_an_unparsable_target_is_keyed_by_its_text(self):
+        t = SlidingWindowThrottle()
+        assert t.check("not a url", 0.0) is None
+        assert list(t._last_allowed) == ["not a url"]
+        assert t.check("not a url", 29.5).header("Retry-After") == "1"
+        assert t.check("Not a url", 29.5) is None
 
     def test_non_matching_path_always_allowed(self):
         proxy = ReverseProxy(ProxyConfig(throttle=ThrottleConfig(enabled=True)), FakeUpstream())
@@ -342,18 +356,18 @@ class TestThrottle:
             assert proxy.handle_request(get("http://archive.test/save/_embed/u"), now=0.0).status == 200
 
     def test_per_key_isolation(self):
-        t = SlidingWindowThrottle(30.0)
-        assert t.check("a", now=0.0).allowed
-        assert t.check("b", now=1.0).allowed
-        assert not t.check("a", now=2.0).allowed
+        t = SlidingWindowThrottle()
+        assert t.check("a", now=0.0) is None
+        assert t.check("b", now=1.0) is None
+        assert t.check("a", now=2.0) is not None
 
     def test_keys_forgotten_once_their_window_passes(self):
-        t = SlidingWindowThrottle(30.0)
+        t = SlidingWindowThrottle()
         for i in range(1000):
-            assert t.check(f"k{i}", now=float(i)).allowed
+            assert t.check(f"k{i}", now=float(i)) is None
             assert len(t._last_allowed) == min(i + 1, 30)
-        assert not t.check("k999", now=1000.0).allowed
-        assert t.check("k0", now=1000.0).allowed
+        assert t.check("k999", now=1000.0) is not None
+        assert t.check("k0", now=1000.0) is None
 
 
 class TestMetrics:

@@ -10,9 +10,8 @@ import pytest
 
 from replay_shield import upstream
 from replay_shield.httpmsg import Request, Response
-from replay_shield.proxy import PATCH_THROTTLE_SECONDS, ProxyConfig, ReverseProxy, SlidingWindowThrottle, ThrottleConfig
+from replay_shield.proxy import ProxyConfig, ReverseProxy, SlidingWindowThrottle, ThrottleConfig
 from replay_shield.upstream import (
-    DEFAULT_EPOCH,
     NOT_FOUND,
     ROUTE_MEMO_SIZE,
     ManifestParseError,
@@ -191,7 +190,7 @@ class TestPatch:
         r = sim.patch("http://x.pt/img.jpg", now=0.0)
         assert r.status == 200
         # the capture is now servable (nearest-match redirect then exact hit)
-        ts = timestamp14_at(DEFAULT_EPOCH, 0.0)
+        ts = timestamp14_at(0.0)
         follow = sim.serve(get(f"http://a.test/web/{ts}/http://x.pt/img.jpg"), now=1.0)
         assert follow.status == 200
         assert follow.body == b"jpeg bytes"
@@ -302,7 +301,7 @@ class TestRouteMemo:
         rng = random.Random(seed)
         memoized = UpstreamSimulator(parse_manifest_text(scenario_store_text()), PatchConfig(enabled=patch))
         reference_store = parse_manifest_text(scenario_store_text())
-        reference_throttle = SlidingWindowThrottle(PATCH_THROTTLE_SECONDS)
+        reference_throttle = SlidingWindowThrottle()
         now = 0.0
         for url in generated_request_urls(rng, 400):
             for _ in range(2):
@@ -433,5 +432,5 @@ class TestTimestampRendering:
         assert rfc1123_from_timestamp14("20210901092755") == "Wed, 01 Sep 2021 09:27:55 GMT"
 
     def test_timestamp_at_offset(self):
-        assert timestamp14_at(DEFAULT_EPOCH, 0.0) == "20210901000000"
-        assert timestamp14_at(DEFAULT_EPOCH, 61.5) == "20210901000101"
+        assert timestamp14_at(0.0) == "20210901000000"
+        assert timestamp14_at(61.5) == "20210901000101"

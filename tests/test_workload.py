@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,19 @@ class TestSpecSerialization:
             spec_from_text("name = x\n")
         with pytest.raises(ConfigError):
             spec_from_text("name = x\nduration = 5\nbehavior.0.type = warp\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key", ["duration", "behavior.0.period", "behavior.1.cycle_period", "behavior.2.retry_period",
+                "behavior.3.interval"],
+    )
+    def test_non_finite_duration_or_period_is_refused(self, key, value):
+        from replay_shield.configtext import ConfigError
+
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", ALL_BEHAVIORS_TEXT, flags=re.MULTILINE)
+        assert text != ALL_BEHAVIORS_TEXT
+        with pytest.raises(ConfigError, match=key.rsplit(".", 1)[-1]):
+            spec_from_text(text)
 
 
 class TestEventsCsv:
