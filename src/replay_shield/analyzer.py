@@ -215,10 +215,9 @@ def render_comparison(summary: ComparisonSummary) -> str:
 
 def emit_series_csv(report: TrafficReport, path: str | Path) -> None:
     """Plot-ready per-second series: one row per second from 0 to floor(duration)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("second,count,cumulative\n")
-        for (sec, count), (_, cum) in zip(report.per_second, report.cumulative):
-            fh.write(f"{sec},{count},{cum}\n")
+    rows = "".join(f"{sec},{count},{cum}\n" for (sec, count), (_, cum) in zip(report.per_second, report.cumulative))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("second,count,cumulative\n" + rows)
 
 
 # the recurring clusters a text report lists, most requested first

@@ -150,13 +150,10 @@ def _paced(clock: LogicalClock, address: str):
     return transport
 
 
-def write_experiment_files(result: ExperimentResult, out_dir: Path, label: str) -> list[Path]:
+def write_experiment_files(result: ExperimentResult, out_dir: Path, label: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = out_dir / f"series_{label}.csv"
-    emit_series_csv(result.client_report, series)
-    events = out_dir / f"events_{label}.csv"
-    write_events_csv(result.events, events)
-    return [series, events]
+    emit_series_csv(result.client_report, out_dir / f"series_{label}.csv")
+    write_events_csv(result.events, out_dir / f"events_{label}.csv")
 
 
 # ---------------------------------------------------------------------------

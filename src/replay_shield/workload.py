@@ -326,27 +326,53 @@ def run_page(
     return page.events
 
 
+EVENT_COLUMNS = ("t_seconds", "url", "source", "status")
+# rows joined per write: writes of tens of KB, while the joined block stays
+# small next to the event list it comes from (1,024 rows wrote no faster and
+# raised the peak RSS of `reproduce --both` by 1%)
+EVENTS_BLOCK_ROWS = 512
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer's default dialect writes it: quoted, inner quotes
+    doubled, only when it holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_events_csv(events: Sequence[ClientEvent], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_seconds", "url", "source", "status"])
-        for e in events:
-            writer.writerow([f"{e.t:.1f}", e.url, e.source.value, e.status])
+    """The bytes csv.writer would write, built from one formatted row tail
+    per distinct (url, source, status): scenarios repeat a few URLs often."""
+    tails: dict[tuple[str, EventSource, int], str] = {}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(EVENT_COLUMNS) + "\r\n")
+        for start in range(0, len(events), EVENTS_BLOCK_ROWS):
+            rows = []
+            for e in events[start : start + EVENTS_BLOCK_ROWS]:
+                key = (e.url, e.source, e.status)
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = f",{_csv_field(e.url)},{e.source.value},{e.status}\r\n"
+                rows.append(f"{e.t:.1f}{tail}")
+            fh.write("".join(rows))
 
 
 def read_events_csv(path: str | Path) -> list[ClientEvent]:
-    events = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            events.append(
-                ClientEvent(
-                    t=float(row["t_seconds"]),
-                    url=row["url"],
-                    source=EventSource(row["source"]),
-                    status=int(row["status"]),
-                )
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in EVENT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: events CSV header lacks column {', '.join(missing)}")
+        return [
+            ClientEvent(
+                t=float(row["t_seconds"]),
+                url=row["url"],
+                source=EventSource(row["source"]),
+                status=int(row["status"]),
             )
-    return events
+            for row in reader
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,20 @@ class TestCliAnalyze:
         assert main(["--output", str(tmp_path), "analyze", str(events_csv)]) == EXIT_OK
         assert "total_requests:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t_seconds,url,source\n0.0,http://a/1,network\n", "lacks column status"),
+            ("t_seconds,url,source,status\n0.0,http://a/1\n", "None is not a valid EventSource"),
+        ],
+        ids=["no-status-column", "short-row"],
+    )
+    def test_malformed_events_csv_exit_2(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "events.csv"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["--output", str(tmp_path), "analyze", str(bad)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
 
 class TestCliEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import codecs
+import csv
+import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from replay_shield.cache import CachePolicy
+from replay_shield.configtext import ConfigError
 from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import InjectionMode, ProxyConfig, ReverseProxy
 from replay_shield.upstream import UpstreamSimulator, parse_manifest_text
 from replay_shield.workload import (
+    EVENTS_BLOCK_ROWS,
     BrowserCacheModel,
     CarouselLoop,
     ClientEvent,
@@ -380,8 +388,6 @@ class TestSpecSerialization:
         )
 
     def test_bad_spec_text(self):
-        from replay_shield.configtext import ConfigError
-
         with pytest.raises(ConfigError):
             spec_from_text("name = x\n")
         with pytest.raises(ConfigError):
@@ -393,8 +399,6 @@ class TestSpecSerialization:
                 "behavior.3.interval"],
     )
     def test_non_finite_duration_or_period_is_refused(self, key, value):
-        from replay_shield.configtext import ConfigError
-
         text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", ALL_BEHAVIORS_TEXT, flags=re.MULTILINE)
         assert text != ALL_BEHAVIORS_TEXT
         with pytest.raises(ConfigError, match=key.rsplit(".", 1)[-1]):
@@ -413,3 +417,88 @@ class TestEventsCsv:
         assert read_events_csv(path) == events
         header = path.read_text().splitlines()[0]
         assert header == "t_seconds,url,source,status"
+
+    # URLs that csv.writer quotes (comma, quote, CR, LF, CRLF) and ones it
+    # leaves bare (plain, spaces, non-ASCII, empty)
+    FUZZ_URLS = (
+        "http://a.test/plain.png",
+        "http://a.test/img?x=1,2",
+        'http://a.test/say"hi".gif',
+        "http://a.test/cr\rhere",
+        "http://a.test/lf\nhere",
+        "http://a.test/crlf\r\nhere",
+        '"',
+        ",",
+        "http://a.test/with space ",
+        " leading",
+        "http://x.test/café.png",
+        "http://x.test/日本/画像.jpg",
+        "http://x.test/😀,\"\n",
+        "",
+    )
+
+    @pytest.mark.parametrize("n", [0, 1, 2000, EVENTS_BLOCK_ROWS, 2 * EVENTS_BLOCK_ROWS + 317])
+    def test_writer_matches_csv_writer_byte_for_byte(self, tmp_path, n):
+        rng = random.Random(n)
+        events = [
+            ClientEvent(
+                round(rng.uniform(0, 900), 1),
+                rng.choice(self.FUZZ_URLS),
+                rng.choice(list(EventSource)),
+                rng.choice((200, 302, 404, 429, 503)),
+            )
+            for _ in range(n)
+        ]
+        if n == 2000:
+            assert {e.url for e in events} == set(self.FUZZ_URLS)
+            assert {e.source for e in events} == set(EventSource)
+        path = tmp_path / "events.csv"
+        write_events_csv(events, path)
+
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t_seconds", "url", "source", "status"])
+            for e in events:
+                writer.writerow([f"{e.t:.1f}", e.url, e.source.value, e.status])
+        assert path.read_bytes() == reference.read_bytes()
+        assert read_events_csv(path) == events
+
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        # the script is ASCII: a non-ASCII -c argument would itself be
+        # decoded by the locale
+        script = (
+            "import locale, sys\n"
+            "from replay_shield.workload import ClientEvent, EventSource, read_events_csv, write_events_csv\n"
+            "from replay_shield.analyzer import build_report, emit_series_csv\n"
+            "print(locale.getpreferredencoding(False))\n"
+            "events = [ClientEvent(0.0, 'http://x.test/caf\\u00e9.png', EventSource.NETWORK, 404)]\n"
+            "write_events_csv(events, sys.argv[1] + '/events.csv')\n"
+            "assert read_events_csv(sys.argv[1] + '/events.csv') == events\n"
+            "emit_series_csv(build_report(events), sys.argv[1] + '/series.csv')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert codecs.lookup(proc.stdout.strip()).name == "ascii"
+        assert (tmp_path / "events.csv").read_bytes().splitlines()[1] == b"0.0,http://x.test/caf\xc3\xa9.png,network,404"
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("t_seconds,url,source\n0.0,http://a/1,network\n", "status"),
+            ("t_seconds,url,status,kind\n0.0,http://a/1,200,network\n", "source"),
+            ("", "t_seconds, url, source, status"),
+        ],
+        ids=["no-status", "no-source", "empty-file"],
+    )
+    def test_header_without_its_columns_is_a_config_error(self, tmp_path, text, missing):
+        path = tmp_path / "events.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"lacks column {missing}$"):
+            read_events_csv(path)
