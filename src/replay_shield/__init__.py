@@ -1,32 +1,3 @@
 """Traffic laboratory for archival replay: a negative-caching reverse proxy, a
 deterministic simulator of recurring-request page behaviors, and a request-rate
 analyzer for before/after comparisons."""
-
-__version__ = "0.1.0"
-
-from .cache import CachePolicy, ResponseCache, parse_cache_control
-from .proxy import ProxyConfig, ReverseProxy
-from .upstream import MementoStore, UpstreamSimulator, load_store_from_manifest
-from .urls import UriM, UriR, canonicalize, fuzzy_reduce, parse_urim, parse_urir
-from .workload import PageSpec, builtin_scenario, run_page
-
-__all__ = [
-    "CachePolicy",
-    "MementoStore",
-    "PageSpec",
-    "ProxyConfig",
-    "ResponseCache",
-    "ReverseProxy",
-    "UpstreamSimulator",
-    "UriM",
-    "UriR",
-    "builtin_scenario",
-    "canonicalize",
-    "fuzzy_reduce",
-    "load_store_from_manifest",
-    "parse_cache_control",
-    "parse_urim",
-    "parse_urir",
-    "run_page",
-    "__version__",
-]

@@ -15,12 +15,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+from .configtext import ConfigError
 from .urls import EMPTY_RULES, FuzzyRuleSet, fuzzy_key_of
 from .workload import ClientEvent, EventSource
 
 # initial-burst rule: leading seconds whose request count exceeds this multiple
 # of the whole-run mean rate
 BURST_RATE_FACTOR = 2.0
+
+# the longest span of event times a report covers, one series row per second
+# (at the bound, build_report's tracemalloc peak is about 17 MB)
+MAX_SPAN_SECONDS = 86_400
 
 
 class HarParseError(ValueError):
@@ -33,7 +38,6 @@ class RecurringCluster:
     count: int
     statuses: Counter
     first_t: float
-    last_t: float
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,8 @@ def _normalize(events: Sequence[ClientEvent]) -> list[tuple[float, str, int]]:
 
 
 def build_report(entries: Sequence[ClientEvent], min_repeats: int = 3, rules: FuzzyRuleSet = EMPTY_RULES) -> TrafficReport:
-    """Compute every report field from a request log; `rules` key the recurring clusters.
+    """Compute every report field from a request log; `rules` key the recurring
+    clusters. Event times spanning over MAX_SPAN_SECONDS are a ConfigError.
 
     The burst prefix is the run of leading seconds whose per-second count stays
     above BURST_RATE_FACTOR times the whole-run mean rate; reported as
@@ -119,6 +124,8 @@ def build_report(entries: Sequence[ClientEvent], min_repeats: int = 3, rules: Fu
     t_first = triples[0][0]
     t_last = triples[-1][0]
     duration = max(1.0, t_last - t_first)
+    if duration > MAX_SPAN_SECONDS:
+        raise ConfigError(f"event times span {duration:g} s, over the {MAX_SPAN_SECONDS} s one report covers")
 
     seconds = int(math.floor(duration))
     counts = [0] * (seconds + 1)
@@ -181,7 +188,6 @@ def _clusters(triples: list[tuple[float, str, int]], min_repeats: int, rules: Fu
                 count=len(hits),
                 statuses=Counter(s for _, s in hits),
                 first_t=min(t for t, _ in hits),
-                last_t=max(t for t, _ in hits),
             )
         )
     clusters.sort(key=lambda c: (-c.count, c.first_t))

@@ -23,7 +23,6 @@ from .urls import EMPTY_RULES, FuzzyRuleSet, fuzzy_key_of
 
 @dataclass(frozen=True)
 class CacheControlDirectives:
-    public: bool = False
     private: bool = False
     no_store: bool = False
     no_cache: bool = False
@@ -51,19 +50,16 @@ def delta_seconds(value: str) -> int | None:
 @lru_cache(maxsize=CACHE_CONTROL_MEMO_SIZE)
 def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
     """Lenient Cache-Control parse: case-insensitive names, unknown directives
-    ignored, a max-age or s-maxage that is not delta-seconds treated as absent. If
-    both public and private appear, private wins. Memoized per value; the
-    directives are frozen, so callers share them."""
-    public = private = no_store = no_cache = False
+    ignored, a max-age or s-maxage that is not delta-seconds treated as absent.
+    Memoized per value; the directives are frozen, so callers share them."""
+    private = no_store = no_cache = False
     max_age: int | None = None
     s_maxage: int | None = None
     for token in (header_value or "").split(","):
         name, _, value = token.strip().partition("=")
         name = name.strip().lower()
         value = value.strip().strip('"')
-        if name == "public":
-            public = True
-        elif name == "private":
+        if name == "private":
             private = True
         elif name == "no-store":
             no_store = True
@@ -77,9 +73,7 @@ def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
                 max_age = parsed
             else:
                 s_maxage = parsed
-    if private:
-        public = False
-    return CacheControlDirectives(public, private, no_store, no_cache, max_age, s_maxage)
+    return CacheControlDirectives(private, no_store, no_cache, max_age, s_maxage)
 
 
 def cache_control_of(response: Response) -> CacheControlDirectives:

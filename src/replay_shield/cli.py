@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyzer import (
+    MAX_SPAN_SECONDS,
     TrafficReport,
     build_report,
     compare_reports,
@@ -104,6 +104,8 @@ def load_scenario(spec: ExperimentSpec) -> tuple[PageSpec, str | None]:
         page, manifest = builtin_scenario(spec.scenario)
     if spec.duration is not None:
         page = replace(page, duration=spec.duration)
+    if page.duration > MAX_SPAN_SECONDS:  # refused before the run, not after
+        raise ConfigError(f"duration {page.duration:g} s is over the {MAX_SPAN_SECONDS} s one report covers")
     return page, manifest
 
 
@@ -250,21 +252,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-_echo_lock = threading.Lock()
-
-
-def _echo_line(line: str) -> None:
-    # One write per record, so records from concurrent handler threads cannot
-    # run together; flushed so the log does not lag behind the traffic.
-    with _echo_lock:
-        sys.stdout.write(line + "\n")
-        sys.stdout.flush()
-
-
 def cmd_serve_upstream(args) -> int:
     store = load_store_from_manifest(args.manifest)
     sim = UpstreamSimulator(store, patch=PatchConfig(enabled=args.patch == "ia"))
-    return _serve(args.role, serve_handler(sim.serve, listen=args.listen, echo=_echo_line))
+    return _serve(args.role, serve_handler(sim.serve, listen=args.listen, log=sys.stdout))
 
 
 def cmd_serve_proxy(args) -> int:
@@ -275,7 +266,7 @@ def cmd_serve_proxy(args) -> int:
     if args.upstream:
         cfg = replace(cfg, upstream_address=args.upstream)
     proxy = ReverseProxy(cfg, lambda req: http_fetch(cfg.upstream_address, req))
-    return _serve(args.role, serve_handler(proxy.handle_request, listen=cfg.listen_address, echo=_echo_line))
+    return _serve(args.role, serve_handler(proxy.handle_request, listen=cfg.listen_address, log=sys.stdout))
 
 
 def _serve(role: str, handle) -> int:

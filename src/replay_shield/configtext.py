@@ -50,11 +50,11 @@ def parse_float(value: str, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-def indexed_values(items: dict[str, str], prefix: str) -> list[str]:
-    """Collect `prefix.0`, `prefix.1`, ... in index order."""
+def indexed_keys(items: dict[str, str], prefix: str) -> list[str]:
+    """The keys `prefix.0`, `prefix.1`, ... present, in index order."""
     found: list[tuple[int, str]] = []
-    for key, value in items.items():
+    for key in items:
         head, _, idx = key.rpartition(".")
         if head == prefix and idx.isdigit():
-            found.append((int(idx), value))
-    return [v for _, v in sorted(found)]
+            found.append((int(idx), key))
+    return [k for _, k in sorted(found)]

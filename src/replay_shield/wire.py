@@ -19,13 +19,12 @@ import time
 from collections import deque
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Callable
+from typing import Callable, TextIO
 
 from .httpmsg import Request, Response, origin_form, text_response
 from .proxy import UpstreamUnreachable
 
 Handler = Callable[[Request, float], Response]
-LogSink = Callable[[str], None]
 
 _log = logging.getLogger(__name__)
 
@@ -38,7 +37,7 @@ _SHUTDOWN_POLL_SECONDS = 0.05
 IDLE_TIMEOUT_SECONDS = 60.0
 
 # A server keeps its most recent request log lines for inspection; the full log
-# goes to the echo sink.
+# goes to its log stream.
 LOG_LINES_KEPT = 1000
 
 # Each connection holds a handler thread; one over this many is answered 503
@@ -285,10 +284,10 @@ class _WireServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address: tuple[str, int], app: Handler, echo: LogSink | None):
+    def __init__(self, address: tuple[str, int], app: Handler, log: TextIO | None):
         super().__init__(address, _WireHandler)
         self.app = app
-        self.echo = echo
+        self.log = log
         self.started = time.monotonic()
         self._log_lines: deque[str] = deque(maxlen=LOG_LINES_KEPT)
         self._log_lock = threading.Lock()
@@ -312,10 +311,13 @@ class _WireServer(socketserver.ThreadingTCPServer):
             return list(self._log_lines)
 
     def record(self, line: str) -> None:
+        # One write per record, so records from concurrent handler threads
+        # cannot run together; flushed so the log does not lag the traffic.
         with self._log_lock:
             self._log_lines.append(line)
-        if self.echo is not None:
-            self.echo(line)
+            if self.log is not None:
+                self.log.write(line + "\n")
+                self.log.flush()
 
     def process_request(self, request, client_address):
         # Runs on the accept loop, so a connection over the cap is refused
@@ -466,6 +468,7 @@ def _request_url(target: str, host: str) -> str | None:
     return target
 
 
-def serve_handler(app: Handler, listen: str = "127.0.0.1:0", echo: LogSink | None = None) -> _WireServer:
-    """Start `app` behind a threaded HTTP listener; port 0 picks a free port."""
-    return _WireServer(split_hostport(listen), app, echo)
+def serve_handler(app: Handler, listen: str = "127.0.0.1:0", log: TextIO | None = None) -> _WireServer:
+    """Start `app` behind a threaded HTTP listener; port 0 picks a free port.
+    Each request's log line also goes to the text stream `log`, when given."""
+    return _WireServer(split_hostport(listen), app, log)

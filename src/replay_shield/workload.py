@@ -364,15 +364,18 @@ def read_events_csv(path: str | Path) -> list[ClientEvent]:
         missing = [c for c in EVENT_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ConfigError(f"{path}: events CSV header lacks column {', '.join(missing)}")
-        return [
-            ClientEvent(
-                t=float(row["t_seconds"]),
-                url=row["url"],
-                source=EventSource(row["source"]),
-                status=int(row["status"]),
-            )
-            for row in reader
-        ]
+        events = []
+        for row in reader:
+            try:
+                t = float(row["t_seconds"])
+            except (TypeError, ValueError):  # None in a row too short to reach the column
+                t = math.nan
+            if not math.isfinite(t):
+                raise ConfigError(
+                    f"{path} line {reader.line_num}: t_seconds {row['t_seconds']!r} is not a finite number"
+                )
+            events.append(ClientEvent(t, row["url"], EventSource(row["source"]), int(row["status"])))
+        return events
 
 
 # ---------------------------------------------------------------------------
@@ -516,44 +519,57 @@ def builtin_scenario(name: str) -> tuple[PageSpec, str]:
 
 
 def spec_from_text(text: str) -> PageSpec:
+    """The page a scenario spec describes; a key that no field reads is an error."""
     items = configtext.parse_config_text(text)
     if "name" not in items or "duration" not in items:
         raise ConfigError("scenario spec needs 'name' and 'duration'")
+    taken = {"name", "duration"}
+
+    def value(key: str) -> str:
+        taken.add(key)
+        return items[key]
+
+    def values(prefix: str) -> tuple[str, ...]:
+        keys = configtext.indexed_keys(items, prefix)
+        taken.update(keys)
+        return tuple(items[k] for k in keys)
+
     behaviors: list[Behavior] = []
     for i in range(len([k for k in items if k.endswith(".type") and k.startswith("behavior.")])):
         p = f"behavior.{i}"
         btype = items.get(f"{p}.type")
         if btype is None:
             raise ConfigError(f"behavior indices must be contiguous; missing {p}.type")
+        taken.add(f"{p}.type")
         try:
             if btype == "carousel_loop":
                 behaviors.append(
                     CarouselLoop(
-                        urls=tuple(configtext.indexed_values(items, f"{p}.urls")),
-                        period=configtext.parse_float(items[f"{p}.period"], f"{p}.period"),
+                        urls=values(f"{p}.urls"),
+                        period=configtext.parse_float(value(f"{p}.period"), f"{p}.period"),
                     )
                 )
             elif btype == "loader_retry":
                 behaviors.append(
                     LoaderRetry(
-                        url_template=items[f"{p}.template"],
-                        count=configtext.parse_int(items[f"{p}.count"], f"{p}.count"),
-                        cycle_period=configtext.parse_float(items[f"{p}.cycle_period"], f"{p}.cycle_period"),
+                        url_template=value(f"{p}.template"),
+                        count=configtext.parse_int(value(f"{p}.count"), f"{p}.count"),
+                        cycle_period=configtext.parse_float(value(f"{p}.cycle_period"), f"{p}.cycle_period"),
                     )
                 )
             elif btype == "onerror_fallback":
                 behaviors.append(
                     OnErrorFallback(
-                        primary=items[f"{p}.primary"],
-                        fallback_template=items[f"{p}.fallback"],
-                        retry_period=configtext.parse_float(items[f"{p}.retry_period"], f"{p}.retry_period"),
+                        primary=value(f"{p}.primary"),
+                        fallback_template=value(f"{p}.fallback"),
+                        retry_period=configtext.parse_float(value(f"{p}.retry_period"), f"{p}.retry_period"),
                     )
                 )
             elif btype == "xhr_poll":
                 behaviors.append(
                     XhrPoll(
-                        url=items[f"{p}.url"],
-                        interval=configtext.parse_float(items[f"{p}.interval"], f"{p}.interval"),
+                        url=value(f"{p}.url"),
+                        interval=configtext.parse_float(value(f"{p}.interval"), f"{p}.interval"),
                     )
                 )
             else:
@@ -562,10 +578,14 @@ def spec_from_text(text: str) -> PageSpec:
             raise ConfigError(f"{p}: missing key {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    essential = values("essential")
+    unknown = set(items) - taken
+    if unknown:
+        raise ConfigError(f"unknown scenario spec keys: {', '.join(sorted(unknown))}")
     try:
         return PageSpec(
             name=items["name"],
-            essential_resources=tuple(configtext.indexed_values(items, "essential")),
+            essential_resources=essential,
             behaviors=tuple(behaviors),
             duration=configtext.parse_float(items["duration"], "duration"),
         )

