@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -55,6 +55,11 @@ class LogicalClock:
         self._now = t
 
 
+def _check_period(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0")
+
+
 @dataclass(frozen=True)
 class CarouselLoop:
     """Requests the next URL of a cycle every `period` seconds."""
@@ -63,8 +68,7 @@ class CarouselLoop:
     period: float
 
     def __post_init__(self):
-        if not 0 < self.period < math.inf:
-            raise ValueError("period must be a finite number > 0")
+        _check_period("period", self.period)
         if not self.urls:
             raise ValueError("carousel needs at least one URL")
 
@@ -81,27 +85,26 @@ class CarouselLoop:
 class LoaderRetry:
     """Each cycle re-requests every templated URL that has not yet returned 200.
 
-    `url_template` contains a `#` placeholder replaced by 0..count-1.
+    `template` contains a `#` placeholder replaced by 0..count-1.
     """
 
-    url_template: str
+    template: str
     count: int
     cycle_period: float
 
     def __post_init__(self):
-        if not 0 < self.cycle_period < math.inf:
-            raise ValueError("cycle_period must be a finite number > 0")
+        _check_period("cycle_period", self.cycle_period)
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if "#" not in self.url_template:
-            raise ValueError("url_template needs a '#' placeholder")
+        if "#" not in self.template:
+            raise ValueError("template needs a '#' placeholder")
 
     @property
     def period(self) -> float:
         return self.cycle_period
 
     def request_urls(self) -> tuple[str, ...]:
-        return tuple(self.url_template.replace("#", str(i)) for i in range(self.count))
+        return tuple(self.template.replace("#", str(i)) for i in range(self.count))
 
     def run(self, fetch: Fetch) -> Iterator[None]:
         pending = self.request_urls()
@@ -112,23 +115,23 @@ class LoaderRetry:
 
 @dataclass(frozen=True)
 class OnErrorFallback:
-    """Requests `primary`; on a non-200 also requests the fallback, retrying
-    both every `retry_period` seconds until the primary succeeds."""
+    """Requests `primary`; on a non-200 also requests `fallback` (a `#` in it
+    stands for the primary URL), retrying both every `retry_period` seconds
+    until the primary succeeds."""
 
     primary: str
-    fallback_template: str
+    fallback: str
     retry_period: float
 
     def __post_init__(self):
-        if not 0 < self.retry_period < math.inf:
-            raise ValueError("retry_period must be a finite number > 0")
+        _check_period("retry_period", self.retry_period)
 
     @property
     def period(self) -> float:
         return self.retry_period
 
     def request_urls(self) -> tuple[str, ...]:
-        return self.primary, self.fallback_template.replace("#", self.primary)
+        return self.primary, self.fallback.replace("#", self.primary)
 
     def run(self, fetch: Fetch) -> Iterator[None]:
         primary, fallback = self.request_urls()
@@ -147,8 +150,7 @@ class XhrPoll:
     interval: float
 
     def __post_init__(self):
-        if not 0 < self.interval < math.inf:
-            raise ValueError("interval must be a finite number > 0")
+        _check_period("interval", self.interval)
 
     @property
     def period(self) -> float:
@@ -165,6 +167,15 @@ class XhrPoll:
 
 Behavior = CarouselLoop | LoaderRetry | OnErrorFallback | XhrPoll
 
+# a spec's `behavior.N.type` names the class; its dataclass fields are the
+# keys `behavior.N.<field>` that spec_from_text reads
+BEHAVIOR_TYPES: dict[str, type[Behavior]] = {
+    "carousel_loop": CarouselLoop,
+    "loader_retry": LoaderRetry,
+    "onerror_fallback": OnErrorFallback,
+    "xhr_poll": XhrPoll,
+}
+
 
 @dataclass(frozen=True)
 class PageSpec:
@@ -174,8 +185,7 @@ class PageSpec:
     duration: float
 
     def __post_init__(self):
-        if not 0 < self.duration < math.inf:
-            raise ValueError("duration must be a finite number > 0")
+        _check_period("duration", self.duration)
 
     def distinct_urls(self) -> set[str]:
         return set(self.essential_resources).union(*(b.request_urls() for b in self.behaviors))
@@ -191,14 +201,6 @@ class LimiterRule:
     def __post_init__(self):
         if self.min_repeats < 2:
             raise ValueError("min_repeats must be >= 2")
-
-
-def limiter_filter(network_statuses: Sequence[int], rule: LimiterRule) -> bool:
-    """True when the URL's network history triggers suppression."""
-    if len(network_statuses) < rule.min_repeats:
-        return False
-    first = network_statuses[0]
-    return first != 200 and all(s == first for s in network_statuses)
 
 
 class EventSource(str, Enum):
@@ -255,8 +257,9 @@ class _PageRun:
         self.clock = clock
         self.browser_cache = BrowserCacheModel()
         self.events: list[ClientEvent] = []
-        self.network_statuses: dict[str, list[int]] = {}
-        self.last_network_response: dict[str, Response] = {}
+        # url -> (last network response, n): n counts the URL's network
+        # answers while all of them had one status, and is 0 once they differ
+        self.network: dict[str, tuple[Response, int]] = {}
 
     def fetch(self, url: str) -> Response:
         """One logical resource fetch at the clock's time, following redirects."""
@@ -278,19 +281,18 @@ class _PageRun:
             self.events.append(ClientEvent(t, url, EventSource.MEMORY_CACHE, cached.status))
             return cached
 
-        history = self.network_statuses.get(url, [])
-        if self.limiter is not None and limiter_filter(history, self.limiter):
-            replay = self.last_network_response[url]
-            self.events.append(ClientEvent(t, url, EventSource.LIMITER_SUPPRESSED, replay.status))
-            return replay
+        last, n = self.network.get(url, (None, 0))
+        if self.limiter is not None and n >= self.limiter.min_repeats and last.status != 200:
+            self.events.append(ClientEvent(t, url, EventSource.LIMITER_SUPPRESSED, last.status))
+            return last
 
         try:
             response = self.transport(Request("GET", url))
         except Exception:
             response = Response(0)
         self.events.append(ClientEvent(t, url, EventSource.NETWORK, response.status))
-        self.network_statuses.setdefault(url, []).append(response.status)
-        self.last_network_response[url] = response
+        same = last is None or (n and last.status == response.status)
+        self.network[url] = (response, n + 1 if same else 0)
         self.browser_cache.offer(url, response, t)
         return response
 
@@ -358,6 +360,14 @@ def write_events_csv(events: Sequence[ClientEvent], path: str | Path) -> None:
             fh.write("".join(rows))
 
 
+# what read_events_csv says a bad value in a typed column is not
+_EVENT_COLUMN_KINDS = {
+    "t_seconds": "a finite number",
+    "source": "one of " + ", ".join(s.value for s in EventSource),
+    "status": "an integer",
+}
+
+
 def read_events_csv(path: str | Path) -> list[ClientEvent]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -366,15 +376,22 @@ def read_events_csv(path: str | Path) -> list[ClientEvent]:
             raise ConfigError(f"{path}: events CSV header lacks column {', '.join(missing)}")
         events = []
         for row in reader:
+            # `column` names the value being read, for the error; a column a
+            # short row does not reach reads None, a TypeError
             try:
-                t = float(row["t_seconds"])
-            except (TypeError, ValueError):  # None in a row too short to reach the column
-                t = math.nan
-            if not math.isfinite(t):
+                column = "t_seconds"
+                t = float(row[column])
+                if not math.isfinite(t):
+                    raise ValueError
+                column = "source"
+                source = EventSource(row[column])
+                column = "status"
+                status = int(row[column])
+            except (TypeError, ValueError):
                 raise ConfigError(
-                    f"{path} line {reader.line_num}: t_seconds {row['t_seconds']!r} is not a finite number"
-                )
-            events.append(ClientEvent(t, row["url"], EventSource(row["source"]), int(row["status"])))
+                    f"{path} line {reader.line_num}: {column} {row[column]!r} is not {_EVENT_COLUMN_KINDS[column]}"
+                ) from None
+            events.append(ClientEvent(t, row["url"], source, status))
         return events
 
 
@@ -425,7 +442,7 @@ def _carousel12() -> tuple[PageSpec, str]:
         essential_resources=(page, slideshow),
         behaviors=(
             LoaderRetry(
-                url_template=f"{ARCHIVE_PREFIX}/{ts}im_/{site}/styles/slideshow/loader-#.png",
+                template=f"{ARCHIVE_PREFIX}/{ts}im_/{site}/styles/slideshow/loader-#.png",
                 count=12,
                 cycle_period=_CAROUSEL12_CYCLE,
             ),
@@ -454,7 +471,7 @@ def _onerror_playlist() -> tuple[PageSpec, str]:
         name="onerror_playlist",
         essential_resources=(page, player_js),
         behaviors=(
-            OnErrorFallback(primary=cover, fallback_template=resize, retry_period=2.0),
+            OnErrorFallback(primary=cover, fallback=resize, retry_period=2.0),
             XhrPoll(url=nowplaying, interval=3.0),
         ),
         duration=60.0,
@@ -525,69 +542,37 @@ def spec_from_text(text: str) -> PageSpec:
         raise ConfigError("scenario spec needs 'name' and 'duration'")
     taken = {"name", "duration"}
 
-    def value(key: str) -> str:
+    def read(key: str, kind: str = "str") -> object:
+        """`key` read as `kind`, a field's annotation text (this module
+        postpones annotations); a tuple reads the keys `key.0`, `key.1`, ..."""
+        if kind.startswith("tuple"):
+            keys = configtext.indexed_keys(items, key)
+            taken.update(keys)
+            return tuple(items[k] for k in keys)
         taken.add(key)
-        return items[key]
-
-    def values(prefix: str) -> tuple[str, ...]:
-        keys = configtext.indexed_keys(items, prefix)
-        taken.update(keys)
-        return tuple(items[k] for k in keys)
+        parse = {"int": configtext.parse_int, "float": configtext.parse_float}.get(kind)
+        return items[key] if parse is None else parse(items[key], key)
 
     behaviors: list[Behavior] = []
-    for i in range(len([k for k in items if k.endswith(".type") and k.startswith("behavior.")])):
+    for i in range(sum(k.startswith("behavior.") and k.endswith(".type") for k in items)):
         p = f"behavior.{i}"
-        btype = items.get(f"{p}.type")
-        if btype is None:
+        if f"{p}.type" not in items:
             raise ConfigError(f"behavior indices must be contiguous; missing {p}.type")
-        taken.add(f"{p}.type")
+        btype = read(f"{p}.type")
+        if btype not in BEHAVIOR_TYPES:
+            raise ConfigError(f"{p}.type: unknown behavior type {btype!r}")
+        cls = BEHAVIOR_TYPES[btype]
         try:
-            if btype == "carousel_loop":
-                behaviors.append(
-                    CarouselLoop(
-                        urls=values(f"{p}.urls"),
-                        period=configtext.parse_float(value(f"{p}.period"), f"{p}.period"),
-                    )
-                )
-            elif btype == "loader_retry":
-                behaviors.append(
-                    LoaderRetry(
-                        url_template=value(f"{p}.template"),
-                        count=configtext.parse_int(value(f"{p}.count"), f"{p}.count"),
-                        cycle_period=configtext.parse_float(value(f"{p}.cycle_period"), f"{p}.cycle_period"),
-                    )
-                )
-            elif btype == "onerror_fallback":
-                behaviors.append(
-                    OnErrorFallback(
-                        primary=value(f"{p}.primary"),
-                        fallback_template=value(f"{p}.fallback"),
-                        retry_period=configtext.parse_float(value(f"{p}.retry_period"), f"{p}.retry_period"),
-                    )
-                )
-            elif btype == "xhr_poll":
-                behaviors.append(
-                    XhrPoll(
-                        url=value(f"{p}.url"),
-                        interval=configtext.parse_float(value(f"{p}.interval"), f"{p}.interval"),
-                    )
-                )
-            else:
-                raise ConfigError(f"{p}.type: unknown behavior type {btype!r}")
+            behaviors.append(cls(**{f.name: read(f"{p}.{f.name}", f.type) for f in fields(cls)}))
         except KeyError as exc:
             raise ConfigError(f"{p}: missing key {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    essential = values("essential")
+    essential = read("essential", "tuple")
     unknown = set(items) - taken
     if unknown:
         raise ConfigError(f"unknown scenario spec keys: {', '.join(sorted(unknown))}")
     try:
-        return PageSpec(
-            name=items["name"],
-            essential_resources=essential,
-            behaviors=tuple(behaviors),
-            duration=configtext.parse_float(items["duration"], "duration"),
-        )
+        return PageSpec(items["name"], essential, tuple(behaviors), read("duration", "float"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

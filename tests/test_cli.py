@@ -297,14 +297,20 @@ class TestCliAnalyze:
         "text, message",
         [
             ("t_seconds,url,source\n0.0,http://a/1,network\n", "lacks column status"),
-            ("t_seconds,url,source,status\n0.0,http://a/1\n", "None is not a valid EventSource"),
+            ("t_seconds,url,source,status\n0.0,http://a/1\n",
+             "events.csv line 2: source None is not one of network, memory_cache, limiter_suppressed"),
+            ("t_seconds,url,source,status\n0.0,http://a/1,network\n", "events.csv line 2: status None is not an integer"),
+            ("t_seconds,url,source,status\n0.0,http://a/x,network,404\n0.1,http://a/x,network,4o4\n",
+             "events.csv line 3: status '4o4' is not an integer"),
+            ("t_seconds,url,source,status\n0.0,http://a/x,netwerk,404\n",
+             "events.csv line 2: source 'netwerk' is not one of network, memory_cache, limiter_suppressed"),
             *((f"t_seconds,url,source,status\n0.0,http://a/1,network,404\n{t},http://a/1,network,404\n",
                f"events.csv line 3: t_seconds {t!r} is not a finite number") for t in ("nan", "-inf", "soon", "")),
             ("t_seconds,url,source,status\n-5,http://a/1,network,404\n1e12,http://a/1,network,404\n",
              f"event times span 1e+12 s, over the {MAX_SPAN_SECONDS} s one report covers"),
         ],
-        ids=["no-status-column", "short-row", "nan-time", "infinite-time", "text-time", "empty-time",
-             "span-over-the-bound"],
+        ids=["no-status-column", "short-row", "no-status", "text-status", "unknown-source", "nan-time",
+             "infinite-time", "text-time", "empty-time", "span-over-the-bound"],
     )
     def test_malformed_events_csv_exit_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "events.csv"

@@ -22,6 +22,7 @@ from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import InjectionMode, ProxyConfig, ProxyMetrics, ReverseProxy, ThrottleConfig, UpstreamUnreachable
 from replay_shield.upstream import MementoStore, PatchConfig, UpstreamSimulator, parse_manifest_text
 from replay_shield.wire import LOG_LINES_KEPT, http_fetch, origin_form, serve_handler, split_hostport
+from replay_shield.workload import PageSpec, run_page
 
 MANIFEST = (
     "20090628044051\t200\timage/png\thttp://site.pt/ok.png\tinline:pngbytes\n"
@@ -917,6 +918,20 @@ class TestHelpers:
             with pytest.raises(UpstreamUnreachable):
                 http_fetch(upstream.address, Request("GET", f"http://a.test{path}"))
             assert upstream.log_lines == []
+
+    def test_relayed_location_with_a_space_is_not_sent(self):
+        # run_page joins a relayed Location as it is, and the response reader
+        # keeps a field's inner spaces, so only http_fetch's check keeps the
+        # request line `GET /a b HTTP/1.1` off the wire
+        def app(request, now):
+            return Response(302, (("Location", "/a b"),)) if request.url.endswith("/start") else Response(200)
+
+        with serve_handler(app) as upstream:
+            base = f"http://{upstream.address}"
+            spec = PageSpec("relay", (f"{base}/start",), (), duration=1.0)
+            events = run_page(spec, lambda req: http_fetch(upstream.address, req))
+            assert [(e.url, e.status) for e in events] == [(f"{base}/start", 302), (f"{base}/a b", 0)]
+            assert len(upstream.log_lines) == 1
 
     def test_http_fetch_drops_hop_by_hop_headers(self):
         headers = (("Connection", "X-Trace"), ("X-Trace", "1"), ("Keep-Alive", "timeout=5"),

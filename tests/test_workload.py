@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import dataclasses
 import os
 import random
 import re
@@ -19,7 +20,9 @@ from replay_shield.httpmsg import Request, Response
 from replay_shield.proxy import InjectionMode, ProxyConfig, ReverseProxy
 from replay_shield.upstream import UpstreamSimulator, parse_manifest_text
 from replay_shield.workload import (
+    BEHAVIOR_TYPES,
     EVENTS_BLOCK_ROWS,
+    SCENARIO_NAMES,
     BrowserCacheModel,
     CarouselLoop,
     ClientEvent,
@@ -33,7 +36,6 @@ from replay_shield.workload import (
     XhrPoll,
     browser_cache_decide,
     builtin_scenario,
-    limiter_filter,
     read_events_csv,
     run_page,
     spec_from_text,
@@ -122,7 +124,7 @@ class TestRunPageSchedules:
         spec = PageSpec(
             "l",
             (),
-            (LoaderRetry(url_template="http://a/img-#", count=3, cycle_period=1.0),),
+            (LoaderRetry(template="http://a/img-#", count=3, cycle_period=1.0),),
             duration=3.0,
         )
         events = run_page(spec, transport)
@@ -137,7 +139,7 @@ class TestRunPageSchedules:
         spec = PageSpec(
             "o",
             (),
-            (OnErrorFallback(primary="http://a/img", fallback_template="http://a/resize?img=x", retry_period=2.0),),
+            (OnErrorFallback(primary="http://a/img", fallback="http://a/resize?img=x", retry_period=2.0),),
             duration=6.0,
         )
         run_page(spec, transport)
@@ -148,7 +150,7 @@ class TestRunPageSchedules:
         spec = PageSpec(
             "o",
             (),
-            (OnErrorFallback(primary="http://a/img", fallback_template="http://a/r", retry_period=1.0),),
+            (OnErrorFallback(primary="http://a/img", fallback="http://a/r", retry_period=1.0),),
             duration=10.0,
         )
         run_page(spec, transport)
@@ -265,17 +267,32 @@ class TestBrowserCacheDecide:
 
 
 class TestLimiter:
+    @staticmethod
+    def next_request_source(statuses: list[int]) -> EventSource:
+        """Where the request after `statuses` (network answers no browser
+        cache keeps) is answered from under a min_repeats=3 limiter."""
+        answers = iter(statuses + [404])
+        transport = lambda req: Response(next(answers), (("Cache-Control", "no-store"),))
+        spec = PageSpec("p", (), (XhrPoll("http://a/feed", interval=1.0),), duration=len(statuses) + 1.0)
+        events = run_page(spec, transport, limiter=LimiterRule(min_repeats=3))
+        assert [(e.source, e.status) for e in events[:-1]] == [(EventSource.NETWORK, s) for s in statuses]
+        return events[-1].source
+
     def test_three_prior_404s_suppresses(self):
-        assert limiter_filter([404, 404, 404], LimiterRule(min_repeats=3))
+        assert self.next_request_source([404, 404, 404]) is EventSource.LIMITER_SUPPRESSED
 
     def test_two_prior_404s_passes(self):
-        assert not limiter_filter([404, 404], LimiterRule(min_repeats=3))
+        assert self.next_request_source([404, 404]) is EventSource.NETWORK
 
     def test_200_repeats_never_suppressed(self):
-        assert not limiter_filter([200, 200, 200], LimiterRule(min_repeats=3))
+        assert self.next_request_source([200, 200, 200]) is EventSource.NETWORK
 
     def test_mixed_statuses_pass(self):
-        assert not limiter_filter([404, 500, 404], LimiterRule(min_repeats=3))
+        assert self.next_request_source([404, 500, 404]) is EventSource.NETWORK
+
+    def test_a_changed_status_is_never_forgotten(self):
+        # the rule reads the URL's whole network history, not its latest run
+        assert self.next_request_source([404, 500, 500, 500, 500]) is EventSource.NETWORK
 
     def test_disabled_passes(self):
         transport, calls = counting_transport(missing={"http://a/feed"})
@@ -315,7 +332,7 @@ class TestScenarios:
         (loader,) = spec.behaviors
         assert isinstance(loader, LoaderRetry)
         assert loader.count == 12
-        urls = [loader.url_template.replace("#", str(i)) for i in range(12)]
+        urls = [loader.template.replace("#", str(i)) for i in range(12)]
         assert urls[0].endswith("loader-0.png")
         assert urls[11].endswith("loader-11.png")
 
@@ -367,9 +384,9 @@ class TestSpecSerialization:
             essential_resources=("http://a.test/page", "http://a.test/app.js"),
             behaviors=(
                 CarouselLoop(urls=("http://a.test/img1.jpg", "http://a.test/img2.jpg"), period=0.5),
-                LoaderRetry(url_template="http://a.test/loader-#.png", count=4, cycle_period=1.5),
+                LoaderRetry(template="http://a.test/loader-#.png", count=4, cycle_period=1.5),
                 OnErrorFallback(
-                    primary="http://a.test/cover.jpg", fallback_template="http://a.test/resize?img=#", retry_period=2.0
+                    primary="http://a.test/cover.jpg", fallback="http://a.test/resize?img=#", retry_period=2.0
                 ),
                 XhrPoll(url="http://a.test/feed", interval=5.0),
             ),
@@ -419,6 +436,27 @@ class TestSpecSerialization:
         assert text != ALL_BEHAVIORS_TEXT
         with pytest.raises(ConfigError, match=key.rsplit(".", 1)[-1]):
             spec_from_text(text)
+
+    def test_every_builtin_scenario_is_a_spec(self):
+        type_names = {cls: name for name, cls in BEHAVIOR_TYPES.items()}
+        texts = []
+        for name in SCENARIO_NAMES:
+            spec, _ = builtin_scenario(name)
+            # one key per dataclass field; a float's text reads back exactly
+            lines = [f"name = {spec.name}", f"duration = {spec.duration}"]
+            lines += [f"essential.{i} = {url}" for i, url in enumerate(spec.essential_resources)]
+            for i, behavior in enumerate(spec.behaviors):
+                lines.append(f"behavior.{i}.type = {type_names[type(behavior)]}")
+                for field in dataclasses.fields(behavior):
+                    key, value = f"behavior.{i}.{field.name}", getattr(behavior, field.name)
+                    if isinstance(value, tuple):
+                        lines += [f"{key}.{j} = {v}" for j, v in enumerate(value)]
+                    else:
+                        lines.append(f"{key} = {value}")
+            texts.append("\n".join(lines))
+            assert spec_from_text(texts[-1]) == spec, name
+        # the texts hold `#` templates and URLs with the characters a query or an IA path uses
+        assert all(c in "".join(texts) for c in "#[]?&=")
 
 
 class TestEventsCsv:
