@@ -50,8 +50,9 @@ def delta_seconds(value: str) -> int | None:
 @lru_cache(maxsize=CACHE_CONTROL_MEMO_SIZE)
 def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
     """Lenient Cache-Control parse: case-insensitive names, unknown directives
-    ignored, a max-age or s-maxage that is not delta-seconds treated as absent.
-    Memoized per value; the directives are frozen, so callers share them."""
+    ignored, a max-age or s-maxage that is not delta-seconds treated as absent,
+    and of two that are, the first used (RFC 9111 section 4.2.1). Memoized per
+    value; the directives are frozen, so callers share them."""
     private = no_store = no_cache = False
     max_age: int | None = None
     s_maxage: int | None = None
@@ -70,9 +71,9 @@ def parse_cache_control(header_value: str | None) -> CacheControlDirectives:
             if parsed is None:
                 continue
             if name == "max-age":
-                max_age = parsed
+                max_age = parsed if max_age is None else max_age
             else:
-                s_maxage = parsed
+                s_maxage = parsed if s_maxage is None else s_maxage
     return CacheControlDirectives(private, no_store, no_cache, max_age, s_maxage)
 
 
@@ -184,6 +185,7 @@ class StoreOutcome(Enum):
     REJECTED_NO_STORE = "no_store"
     REJECTED_PRIVATE = "private"
     REJECTED_STATUS = "status_not_cacheable"
+    REJECTED_VARY_ANY = "vary_any"
 
     @property
     def stored(self) -> bool:
@@ -225,6 +227,10 @@ class ResponseCache:
             return StoreOutcome.REJECTED_PRIVATE
         if response.status not in CACHEABLE_STATUSES:
             return StoreOutcome.REJECTED_STATUS
+        # a stored answer that varies on `*` never matches a request (RFC 9111 section 4.1)
+        if any(member.strip() == "*" for name, value in response.headers if name.lower() == "vary"
+               for member in value.split(",")):
+            return StoreOutcome.REJECTED_VARY_ANY
         # a shared cache takes s-maxage over max-age (RFC 9111 section 5.2.2.10)
         lifetime = directives.max_age if directives.s_maxage is None else directives.s_maxage
         if lifetime is None and response.header("Expires") is not None:

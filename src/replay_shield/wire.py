@@ -18,6 +18,7 @@ import threading
 import time
 from collections import deque
 from email.utils import formatdate
+from functools import lru_cache
 from http import HTTPStatus
 from typing import Callable, TextIO
 
@@ -53,6 +54,14 @@ _SERVER_NAME = "replay-shield"
 # the limits of the standard library's HTTP server and client.
 _MAX_LINE = 65536
 _MAX_FIELDS = 100
+# A keep-alive client sends the same field block with every request, and a
+# recurring answer's head changes only when its Age ticks, so the wire keeps
+# the last few of each it worked out, as cache.CACHE_CONTROL_MEMO_SIZE does
+# for Cache-Control values. Only a block or a head under MEMO_MAX_BYTES is
+# kept, so both memos together hold under 1.5 MiB however hostile the traffic.
+FIELDS_MEMO_SIZE = 64
+HEAD_MEMO_SIZE = 64
+MEMO_MAX_BYTES = 2048
 # The largest body relayed from the upstream; a larger one is a 502, refused
 # before it is read. Every body in the builtin scenarios and the bench is under
 # a kilobyte, so only a broken or hostile upstream comes near it.
@@ -171,24 +180,35 @@ class _BadMessage(Exception):
         self.status = status
 
 
-def _read_fields(rfile) -> tuple[dict[str, str], list[tuple[str, str]]]:
-    """Read header fields up to the empty line that ends them. Returns each
-    field's value by lowercased name, repeated fields joined with ", " (RFC 9110
-    section 5.3), and the fields that are not hop-by-hop, in order and with
-    their names as sent. A field over _MAX_LINE or more than _MAX_FIELDS
-    fields is a _BadMessage(431); a line that is not `name: value`, obs-fold
-    included (RFC 9112 section 5.2), or a value with CR or NUL in it is a
-    _BadMessage(400). The stream ending first raises ConnectionError."""
-    fields: dict[str, str] = {}
-    relayed: list[tuple[str, str]] = []
+def _read_lines(rfile) -> tuple[bytes, ...]:
+    """Read header field lines, as sent, up to the empty line that ends them.
+    A line over _MAX_LINE or more than _MAX_FIELDS lines is a _BadMessage(431),
+    and the stream ending first raises ConnectionError, unless a line before is
+    malformed: that line is the _BadMessage(400) of _parse_fields."""
+    lines = []
     for _ in range(_MAX_FIELDS + 1):
         line = rfile.readline(_MAX_LINE + 1)
         if line in (b"\r\n", b"\n"):
-            return fields, relayed
-        if not line:
-            raise ConnectionError("the stream ended inside a message head")
-        if len(line) > _MAX_LINE:
+            return tuple(lines)
+        if not line or len(line) > _MAX_LINE:
+            _parse_fields(lines)
+            if not line:
+                raise ConnectionError("the stream ended inside a message head")
             raise _BadMessage(431, "header field too long")
+        lines.append(line)
+    _parse_fields(lines)
+    raise _BadMessage(431, f"more than {_MAX_FIELDS} header fields")
+
+
+def _parse_fields(lines) -> tuple[dict[str, str], list[tuple[str, str]]]:
+    """Each field's value by lowercased name, repeated fields joined with ", "
+    (RFC 9110 section 5.3), and the fields that are not hop-by-hop, in order
+    and with their names as sent. A line that is not `name: value`, obs-fold
+    included (RFC 9112 section 5.2), or a value with CR or NUL in it is a
+    _BadMessage(400)."""
+    fields: dict[str, str] = {}
+    relayed: list[tuple[str, str]] = []
+    for line in lines:
         name, colon, value = line.decode("latin-1").partition(":")
         value = value.strip(" \t\r\n")
         if not colon or not _TOKEN.fullmatch(name) or "\r" in value or "\0" in value:
@@ -197,7 +217,7 @@ def _read_fields(rfile) -> tuple[dict[str, str], list[tuple[str, str]]]:
         fields[lowered] = f"{fields[lowered]}, {value}" if lowered in fields else value
         if lowered not in _HOP_BY_HOP:
             relayed.append((name, value))
-    raise _BadMessage(431, f"more than {_MAX_FIELDS} header fields")
+    return fields, relayed
 
 
 def _connection_tokens(fields: dict[str, str]) -> set[str]:
@@ -220,7 +240,7 @@ def _read_response(rfile, head_only: bool) -> tuple[Response, bool]:
         if parsed is None or len(line) > _MAX_LINE:
             raise _BadMessage(502, f"bad status line {line[:80]!r}")
         status = int(parsed[2])
-        fields, relayed = _read_fields(rfile)
+        fields, relayed = _parse_fields(_read_lines(rfile))
         if status >= 200:
             break
     tokens = _connection_tokens(fields)
@@ -269,7 +289,7 @@ def _read_chunked(rfile) -> bytes:
         if total > _MAX_BODY:
             raise _BadMessage(502, "chunked body over the relay limit")
         if size == 0:
-            _read_fields(rfile)
+            _parse_fields(_read_lines(rfile))
             return b"".join(chunks)
         chunk = rfile.read(size + 2)
         if len(chunk) < size + 2 or not chunk.endswith(b"\r\n"):
@@ -400,23 +420,17 @@ class _WireHandler(socketserver.StreamRequestHandler):
         if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1") or _UNSENDABLE.search(words[1]):
             return self._reject(400)
         method, target, version = words
+        # an HTTP/1.0 request without a Host names this server
+        own = "%s:%d" % self.server.server_address if version == "HTTP/1.0" else ""
         try:
-            fields, _ = _read_fields(self.rfile)
+            host, keep_alive = _read_request_fields(self.rfile, version, own)
         except _BadMessage as exc:
             return self._reject(exc.status)
         if method not in ("GET", "HEAD"):
             return self._reject(501)
-        # HTTP/1.1 requires a Host (RFC 9112 section 3.2); an HTTP/1.0 request
-        # without one names this server
-        own = "%s:%d" % self.server.server_address if version == "HTTP/1.0" else ""
-        url = _request_url(target, fields.get("host", own))
+        url = _request_url(target, host)
         if url is None:
             return self._reject(400)
-
-        keep_alive = _keep_alive(version == "HTTP/1.1", _connection_tokens(fields))
-        # The body is never read, so the stream cannot be trusted past it.
-        if "transfer-encoding" in fields or fields.get("content-length", "0") != "0":
-            keep_alive = False
 
         now = time.monotonic() - self.server.started
         try:
@@ -424,41 +438,50 @@ class _WireHandler(socketserver.StreamRequestHandler):
         except Exception:  # a handler bug must not kill the connection thread
             _log.exception("handler failed on %s %s", method, url)
             response = text_response(500, "internal error")
+        head, marker = _response_head(response, keep_alive)
         # logged before the response goes out, so a client that has its
         # response also finds the request in the log
-        marker = response.header("X-Cache") or "-"
         self.server.record(f"{now:.3f} {method} {url} {response.status} {marker}")
-        self._send(response, method == "HEAD", keep_alive)
+        self.connection.sendall(head if method == "HEAD" else head + response.body)
         return keep_alive
 
     def _reject(self, status: int) -> bool:
-        self._send(text_response(status, _REASONS[status]), False, False)
+        response = text_response(status, _REASONS[status])
+        head, _ = _response_head(response, False)
+        self.connection.sendall(head + response.body)
         return False
 
-    def _send(self, response: Response, head_only: bool, keep_alive: bool) -> None:
-        lines = [f"HTTP/1.1 {response.status} {_REASONS.get(response.status, '')}"]
-        present = set()
-        for name, value in response.headers:
-            present.add(name.lower())
-            lines.append(f"{name}: {value}")
-        # a relayed or cached response already carries the origin's Server and Date
-        if "server" not in present:
-            lines.append(f"Server: {_SERVER_NAME}")
-        if "date" not in present:
-            lines.append(f"Date: {formatdate(usegmt=True)}")
-        if "content-length" not in present:
-            lines.append(f"Content-Length: {len(response.body)}")
-        if not keep_alive:
-            lines.append("Connection: close")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        self.wfile.write(head if head_only else head + response.body)
+
+def _read_request_fields(rfile, version: str, own: str) -> tuple[str | None, bool]:
+    """Read a request's field lines and work out _request_fields from them,
+    through its memo when the block is under MEMO_MAX_BYTES."""
+    lines = _read_lines(rfile)
+    read = _request_fields if sum(map(len, lines)) < MEMO_MAX_BYTES else _request_fields.__wrapped__
+    return read(lines, version, own)
 
 
-def _request_url(target: str, host: str) -> str | None:
+@lru_cache(maxsize=FIELDS_MEMO_SIZE)
+def _request_fields(lines: tuple[bytes, ...], version: str, own: str) -> tuple[str | None, bool]:
+    """What a server reads from a request's field lines: the Host its URL goes
+    under, None when that is not a valid Host, and whether the connection stays
+    open after the answer. `own` is the server's address for an HTTP/1.0
+    request, which names it by sending no Host, and empty otherwise. A
+    malformed line is a _BadMessage(400), which the memo does not keep."""
+    fields, _ = _parse_fields(lines)
+    # HTTP/1.1 requires a Host (RFC 9112 section 3.2); an empty one never matches
+    host = fields.get("host", own)
+    keep_alive = _keep_alive(version == "HTTP/1.1", _connection_tokens(fields))
+    # The body is never read, so the stream cannot be trusted past it.
+    if "transfer-encoding" in fields or fields.get("content-length", "0") != "0":
+        keep_alive = False
+    return (host if _HOST.fullmatch(host) else None), keep_alive
+
+
+def _request_url(target: str, host: str | None) -> str | None:
     """The URL a request names (RFC 9112 section 3.2): an origin-form target
-    under `host`, or an absolute-form target as it is. None when `host` is not
-    a valid Host, or the target is neither form or names no valid authority."""
-    if not _HOST.fullmatch(host):
+    under `host`, or an absolute-form target as it is. None when there is no
+    valid `host`, or the target is neither form or names no valid authority."""
+    if host is None:
         return None
     if target.startswith("/"):
         return f"http://{host}{target}"
@@ -466,6 +489,57 @@ def _request_url(target: str, host: str) -> str | None:
     if absolute is None or not _HOST.fullmatch(absolute[1]):
         return None
     return target
+
+
+class _Unkept(Exception):
+    """Carries a head out of _kept_head that its memo must not keep: lru_cache
+    stores no entry for a call that raises."""
+
+
+def _encode_head(status: int, headers: tuple[tuple[str, str], ...], length: int,
+                 keep_alive: bool) -> tuple[bytes, str, bool]:
+    """A response's head as sent, the X-Cache marker of its log line ("-"
+    without one), and whether the response carries its own Date."""
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}"]
+    present = set()
+    marker = None
+    for name, value in headers:
+        lowered = name.lower()
+        if lowered == "x-cache" and marker is None:
+            marker = value
+        present.add(lowered)
+        lines.append(f"{name}: {value}")
+    # a relayed or cached response already carries the origin's Server and Date
+    if "server" not in present:
+        lines.append(f"Server: {_SERVER_NAME}")
+    dated = "date" in present
+    if not dated:
+        lines.append(f"Date: {formatdate(usegmt=True)}")
+    if "content-length" not in present:
+        lines.append(f"Content-Length: {length}")
+    if not keep_alive:
+        lines.append("Connection: close")
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    return head, marker or "-", dated
+
+
+@lru_cache(maxsize=HEAD_MEMO_SIZE)
+def _kept_head(status: int, headers: tuple[tuple[str, str], ...], length: int, keep_alive: bool) -> tuple[bytes, str]:
+    """_encode_head, kept for a response with its own Date and a head under
+    MEMO_MAX_BYTES; any other raises _Unkept with the head and the marker, so
+    a response without a Date gets a new one on every send."""
+    head, marker, dated = _encode_head(status, headers, length, keep_alive)
+    if not dated or len(head) >= MEMO_MAX_BYTES:
+        raise _Unkept(head, marker)
+    return head, marker
+
+
+def _response_head(response: Response, keep_alive: bool) -> tuple[bytes, str]:
+    """The head `response` goes out with and the X-Cache marker of its log line."""
+    try:
+        return _kept_head(response.status, response.headers, len(response.body), keep_alive)
+    except _Unkept as unkept:
+        return unkept.args
 
 
 def serve_handler(app: Handler, listen: str = "127.0.0.1:0", log: TextIO | None = None) -> _WireServer:

@@ -73,6 +73,11 @@ class TestParseCacheControl:
         d = parse_cache_control(f"max-age={value}, s-maxage={value}")
         assert d.max_age == d.s_maxage == min(int(value.lstrip("0")[:11]), DELTA_SECONDS_MAX)
 
+    @pytest.mark.parametrize("value", ["max-age=10, max-age=1000", "max-age=banana, max-age=10, MAX-AGE=1000"])
+    def test_the_first_max_age_wins(self, value):
+        assert parse_cache_control(value).max_age == 10
+        assert parse_cache_control(value.replace("max-age", "s-maxage").replace("MAX-AGE", "S-MAXAGE")).s_maxage == 10
+
     def test_private_beats_public(self):
         d = parse_cache_control("public, private")
         assert d.private is True
@@ -178,6 +183,19 @@ class TestStore:
         out = cache.store(key("u"), Response(429, (("Retry-After", "20"),), b""), NO_DIRECTIVES, now=0.0)
         assert out is StoreOutcome.REJECTED_STATUS
         assert cache.lookup(key("u"), now=0.0).state is LookupState.MISS
+
+    @pytest.mark.parametrize("vary", [("*",), ("Accept, *",), ("Accept", " * ")], ids=["star", "in-a-list", "second-line"])
+    def test_vary_any_never_stored(self, vary):
+        cache = ResponseCache(CachePolicy())
+        headers = tuple(("Vary", value) for value in vary)
+        out = cache.store(key("u"), Response(404, headers, b""), parse_cache_control("max-age=600"), now=0.0)
+        assert out is StoreOutcome.REJECTED_VARY_ANY
+        assert cache.lookup(key("u"), now=0.0).state is LookupState.MISS
+
+    def test_vary_on_named_fields_is_stored(self):
+        cache = ResponseCache(CachePolicy())
+        out = cache.store(key("u"), Response(404, (("Vary", "Accept-Encoding"),), b""), NO_DIRECTIVES, now=0.0)
+        assert out is StoreOutcome.STORED
 
     def test_arrival_age_dates_the_entry(self):
         cache = ResponseCache(CachePolicy())

@@ -168,6 +168,23 @@ class TestHandleRequest:
         assert [proxy.handle_request(get(MISSING), now=float(t)).header("X-Cache") for t in (0, 1)] == markers
         assert len(calls) == markers.count("MISS")
 
+    @pytest.mark.parametrize(
+        "headers",
+        [(("Cache-Control", "max-age=10, max-age=1000"),), (("Cache-Control", "max-age=10"), ("Cache-Control", "max-age=1000")),
+         (("Cache-Control", "max-age=600"), ("Vary", "*"))],
+        ids=["duplicate-max-age-one-line", "duplicate-max-age-two-lines", "vary-star"],
+    )
+    def test_rfc9111_refetches_at_100_s(self, headers):
+        calls = []
+
+        def upstream(request):
+            calls.append(request.url)
+            return Response(404, headers, b"gone")
+
+        proxy = ReverseProxy(ProxyConfig(injection_mode=InjectionMode.OFF), upstream)
+        assert [proxy.handle_request(get(MISSING), now=float(t)).header("X-Cache") for t in (0, 100)] == ["MISS", "MISS"]
+        assert len(calls) == 2
+
     def test_missing_only_404_with_past_expires_is_refetched(self):
         calls = []
 

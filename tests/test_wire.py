@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import email.utils
 import http.client
 import io
 import itertools
@@ -13,6 +14,7 @@ import socketserver
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -842,6 +844,180 @@ class TestResponseReader:
         response, will_close = wire._read_response(io.BufferedReader(io.BytesIO(answer)), False)
         assert (response.status, response.headers, response.body, will_close) == (
             404, (("Content-Length", "4"),), b"gone", False)
+
+
+def outcome(call):
+    """What `call` returns, or ("bad", status) for the _BadMessage it raises."""
+    try:
+        return call()
+    except wire._BadMessage as exc:
+        return "bad", exc.status
+
+
+# request field lines a draw picks from: valid and malformed ones, duplicates,
+# bare-LF endings and one line over the memo's cap on its own
+FIELD_LINES = [
+    b"Host: x\r\n", b"host: x:8080\r\n", b"HOST: [::1]:80\r\n", b"Host: \r\n", b"Host: a/b\r\n",
+    b"Connection: close\r\n", b"connection: keep-alive\r\n", b"Connection: Keep-Alive, X-Trace\r\n",
+    b"Content-Length: 0\r\n", b"content-length: 35\r\n", b"Transfer-Encoding: chunked\r\n",
+    b"Accept: */*\n", b"X-Dup: 1\r\n", b"X-Dup: 2\n",
+    b"X-Value: a\rb\r\n", b"X-Nul: a\0b\r\n", b"No-Colon\r\n", b" obs-fold\r\n",
+    b"X-Pad: " + b"p" * wire.MEMO_MAX_BYTES + b"\r\n",
+]
+# response fields a draw picks from: Date, Server and Content-Length as sent
+# and lower-cased, an empty X-Cache, and a value over the memo's cap
+RESPONSE_FIELDS = [
+    ("Date", "Mon, 19 Oct 2026 10:00:00 GMT"), ("date", "Tue, 20 Oct 2026 10:00:00 GMT"),
+    ("Server", "origin"), ("server", "o2"), ("Content-Length", "4"), ("content-length", "4"),
+    ("X-Cache", "HIT"), ("x-cache", "MISS"), ("X-Cache", ""), ("Age", "0"), ("Age", "1"),
+    ("Content-Type", "text/html"), ("Cache-Control", "public, max-age=600"), ("X-Pad", "p" * wire.MEMO_MAX_BYTES),
+]
+DATE = ("Date", "Mon, 19 Oct 2026 10:00:00 GMT")
+
+
+@pytest.fixture
+def empty_memos():
+    wire._request_fields.cache_clear()
+    wire._kept_head.cache_clear()
+
+
+@pytest.mark.usefixtures("empty_memos")
+class TestWireMemos:
+    """A request's field block and a dated response's head are worked out once:
+    the memos give what the direct parse and encoder give, and stay bounded."""
+
+    def test_request_fields_through_the_memo_match_the_direct_parse(self):
+        rng = random.Random(26)
+        # more distinct blocks than the memo holds, each drawn many times
+        versions = [("HTTP/1.1", ""), ("HTTP/1.0", ""), ("HTTP/1.0", "127.0.0.1:8080")]
+        cases = [(rng.choices(FIELD_LINES, weights=[8] * 14 + [1] * 5, k=rng.randint(0, 4)), rng.choice(versions))
+                 for _ in range(96)]
+        for lines, (version, own) in rng.choices(cases, k=3000):
+            block = b"".join(lines) + b"\r\n"
+            before = wire._request_fields.cache_info()
+            memo = outcome(lambda: wire._read_request_fields(io.BytesIO(block), version, own))
+            direct = outcome(lambda: wire._request_fields.__wrapped__(tuple(lines), version, own))
+            assert memo == direct, block
+            if b"X-Value: a\rb\r\n" in lines:  # a lone CR inside a value
+                assert memo == ("bad", 400)
+            if len(block) - 2 >= wire.MEMO_MAX_BYTES:
+                assert wire._request_fields.cache_info() == before
+        info = wire._request_fields.cache_info()
+        assert info.hits > 1000 and info.currsize <= wire.FIELDS_MEMO_SIZE
+
+    def test_a_malformed_line_is_answered_before_a_later_limit(self):
+        long_line = b"X-Long: " + b"a" * 65536 + b"\r\n"
+        for block in (b"No-Colon\r\n" + long_line, b"X-Value: a\rb\r\n" + b"X: 1\r\n" * 101, b"No-Colon\r\n"):
+            assert outcome(lambda: wire._read_request_fields(io.BytesIO(block), "HTTP/1.1", "")) == ("bad", 400)
+        assert outcome(lambda: wire._read_request_fields(io.BytesIO(long_line), "HTTP/1.1", "")) == ("bad", 431)
+        with pytest.raises(ConnectionError):
+            wire._read_request_fields(io.BytesIO(b"Host: x\r\n"), "HTTP/1.1", "")
+
+    def test_response_heads_through_the_memo_match_the_direct_encoder(self, monkeypatch):
+        monkeypatch.setattr(wire, "formatdate", lambda usegmt: "Thu, 01 Jan 1970 00:00:00 GMT")
+        rng = random.Random(26)
+        cases = [(Response(rng.choice([200, 302, 404, 429, 500, 299]),
+                           tuple(rng.choices(RESPONSE_FIELDS, weights=[4] * 13 + [1], k=rng.randint(0, 4))),
+                           rng.choice([b"", b"gone", b"x" * 1000])), rng.random() < 0.5) for _ in range(96)]
+        for response, keep_alive in rng.choices(cases, k=3000):
+            headers = response.headers
+            before = wire._kept_head.cache_info()
+            head, marker = wire._response_head(response, keep_alive)
+            direct, direct_marker, dated = wire._encode_head(response.status, headers, len(response.body), keep_alive)
+            assert (head, marker) == (direct, direct_marker)
+            assert marker == (response.header("X-Cache") or "-")
+            after = wire._kept_head.cache_info()
+            if not dated or len(head) >= wire.MEMO_MAX_BYTES:
+                assert (after.hits, after.currsize) == (before.hits, before.currsize)
+        info = wire._kept_head.cache_info()
+        assert info.hits > 500 and info.currsize <= wire.HEAD_MEMO_SIZE
+
+    def test_a_response_without_its_own_date_is_dated_on_every_send(self, monkeypatch):
+        clock = iter([1_800_000_000.999, 1_800_000_001.0])  # either side of a second boundary
+        monkeypatch.setattr(wire, "formatdate", lambda usegmt: email.utils.formatdate(next(clock), usegmt=usegmt))
+        response = Response(404, (("Content-Type", "text/html"),), b"gone")
+        heads = [wire._response_head(response, True)[0] for _ in range(2)]
+        dates = [re.search(rb"\r\nDate: ([^\r]*)\r\n", head)[1] for head in heads]
+        assert dates == [b"Fri, 15 Jan 2027 08:00:00 GMT", b"Fri, 15 Jan 2027 08:00:01 GMT"]
+        assert wire._kept_head.cache_info().currsize == 0
+
+    def test_recurring_hits_over_one_connection_are_answered_from_both_memos(self):
+        ticks = itertools.count()
+        paths = ["/wayback/20090628044051im_/http://site.pt/gone.png", "/wayback/20090628044051im_/http://site.pt/ok.png"]
+        with serve_handler(make_sim().serve) as upstream:
+            proxy = ReverseProxy(ProxyConfig(), lambda req: http_fetch(upstream.address, req))
+            # 50 requests per proxy second, so the hits see Age 0 to 4
+            with serve_handler(lambda request, _now: proxy.handle_request(request, next(ticks) / 50)) as front:
+                host, port = front.address.split(":")
+                conn = http.client.HTTPConnection(host, int(port), timeout=5)
+                try:
+                    def get(path):
+                        conn.request("GET", path)
+                        answer = conn.getresponse()
+                        return answer.getheader("X-Cache"), answer.getheader("Age"), answer.read()
+
+                    assert [get(path)[0] for path in paths] == ["MISS", "MISS"]
+                    fields, heads = wire._request_fields.cache_info(), wire._kept_head.cache_info()
+                    hits = [(path, *get(path)) for path in paths * 100]
+                    conn.request("HEAD", paths[0])
+                    head_answer = conn.getresponse()
+                    head_answer.read()
+                finally:
+                    conn.close()
+        assert {marker for _, marker, _, _ in hits} == {"HIT"}
+        distinct = len({(path, age) for path, _, age, _ in hits})
+        assert 2 <= distinct <= 10
+        fields_after, heads_after = wire._request_fields.cache_info(), wire._kept_head.cache_info()
+        assert fields_after.misses - fields.misses <= 1
+        assert fields_after.hits - fields.hits >= 200
+        assert heads_after.misses - heads.misses <= distinct
+        assert heads_after.hits - heads.hits >= 200 - distinct
+        assert head_answer.getheader("Content-Length") == str(len(hits[0][3]))
+
+    def test_head_and_close_answers_carry_the_kept_head(self):
+        def app(request, now):
+            return Response(404, (DATE, ("X-Cache", "HIT")), b"gone")
+
+        with serve_handler(app) as server:
+            request = b"%s /a HTTP/1.1\r\nHost: x\r\n%s\r\n"
+            answer = raw_exchange(server.address, request % (b"GET", b"") + request % (b"HEAD", b"")
+                                  + request % (b"GET", b"Connection: close\r\n"))
+        kept, _ = wire._response_head(app(None, 0), True)
+        closing, _ = wire._response_head(app(None, 0), False)
+        assert answer == kept + b"gone" + kept + closing + b"gone"
+        assert closing == kept[:-2] + b"Connection: close\r\n\r\n"
+
+    def test_hostile_blocks_and_heads_leave_the_memos_bounded(self):
+        """Unique blocks and heads just under the cap, each of 100 fields, fill
+        both memos with their costliest entries; unique ones far over it are
+        never kept. Both memos together retain under 1.5 MiB."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for i in range(300):
+                under = b"".join(b"X%d-%d: v\r\n" % (i, j) for j in range(99)) + b"Host: x\r\n"
+                over = b"".join(b"X%d-%d: %s\r\n" % (i, j, b"p" * 600) for j in range(99)) + b"Host: x\r\n"
+                assert len(under) < wire.MEMO_MAX_BYTES
+                assert wire._read_request_fields(io.BytesIO(under + b"\r\n"), "HTTP/1.1", "") == ("x", True)
+                before = wire._request_fields.cache_info()
+                assert wire._read_request_fields(io.BytesIO(over + b"\r\n"), "HTTP/1.1", "") == ("x", True)
+                assert wire._request_fields.cache_info() == before
+
+                small = Response(200, tuple((f"X{i}-{j}", "v") for j in range(99)) + (DATE,))
+                big = Response(200, tuple((f"X{i}-{j}", "p" * 600) for j in range(99)) + (DATE,))
+                assert len(wire._response_head(small, True)[0]) < wire.MEMO_MAX_BYTES
+                before = wire._kept_head.cache_info()
+                wire._response_head(big, True)
+                wire._response_head(big, True)
+                after = wire._kept_head.cache_info()
+                assert (after.hits, after.currsize) == (before.hits, before.currsize)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wire._request_fields.cache_info().currsize == wire.FIELDS_MEMO_SIZE
+        assert wire._kept_head.cache_info().currsize == wire.HEAD_MEMO_SIZE
+        assert retained - start < 1.5 * 2**20
+        assert peak - start < 2 * 2**20
 
 
 class TestClose:
